@@ -28,7 +28,6 @@ benchmark suite stays fast.
 
 from __future__ import annotations
 
-import os
 import time
 
 from trajectory import record_engine_rows
@@ -39,7 +38,7 @@ from repro.config import DEFAULT_LATENCIES, UnitConfig
 from repro.experiments.scales import PRESETS
 from repro.kernels import build_kernel
 from repro.machines import simulate, simulate_objects
-from repro.machines.engine import _simulate_probing
+from repro.machines.engine import _simulate_events, _simulate_probing
 from repro.memory import BankedMemory, FixedLatencyMemory
 from repro.partition import Unit
 
@@ -214,67 +213,61 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
     configs = {Unit.AU: dm.config.au, Unit.DU: dm.config.du}
     instructions = compiled.num_instructions
     rows = []
-    previous = os.environ.get("REPRO_EVENT_ENGINE")
-    os.environ["REPRO_EVENT_ENGINE"] = "events"
-    try:
-        for label, make_memory in EVENT_MODELS:
-            def run_probing(memory):
-                return _simulate_probing(
-                    low, compiled, configs, memory, DEFAULT_LATENCIES,
-                    False, False, False, None,
-                )
-
-            event_result = simulate(compiled, configs, make_memory())
-            probing_result = run_probing(make_memory())
-            assert event_result.cycles == probing_result.cycles, (
-                f"engines disagree on dm+{label}@{scale_name}: "
-                f"{event_result.cycles} vs {probing_result.cycles}"
+    for label, make_memory in EVENT_MODELS:
+        def run_events(memory):
+            return _simulate_events(
+                low, compiled, configs, memory, DEFAULT_LATENCIES,
+                False, None,
             )
-            event_seconds = probing_seconds = float("inf")
-            for _ in range(rounds):
-                start = time.perf_counter()
-                simulate(compiled, configs, make_memory())
-                event_seconds = min(
-                    event_seconds, time.perf_counter() - start
-                )
-                start = time.perf_counter()
-                run_probing(make_memory())
-                probing_seconds = min(
-                    probing_seconds, time.perf_counter() - start
-                )
-            if label == "banked-long" and scale_name in EVENT_SCALES:
-                assert event_seconds < probing_seconds, (
-                    f"event engine lost to the probing loop on the "
-                    f"long-latency banked tier @ {scale_name}: "
-                    f"{event_seconds:.4f}s vs {probing_seconds:.4f}s"
-                )
-            base = {
-                "scale": scale_name,
-                "machine": f"dm+{label}",
-                "memory": make_memory().describe(),
-                "instructions": instructions,
-                "cycles": event_result.cycles,
-            }
-            rows.append({
-                **base,
-                "engine": "probing",
-                "seconds": round(probing_seconds, 6),
-                "ips": round(instructions / probing_seconds),
-            })
-            rows.append({
-                **base,
-                "engine": "events",
-                "seconds": round(event_seconds, 6),
-                "ips": round(instructions / event_seconds),
-                "speedup_vs_probing": round(
-                    probing_seconds / event_seconds, 2
-                ),
-            })
-    finally:
-        if previous is None:
-            del os.environ["REPRO_EVENT_ENGINE"]
-        else:
-            os.environ["REPRO_EVENT_ENGINE"] = previous
+
+        def run_probing(memory):
+            return _simulate_probing(
+                low, compiled, configs, memory, DEFAULT_LATENCIES,
+                False, False, False, None,
+            )
+
+        event_result = run_events(make_memory())
+        probing_result = run_probing(make_memory())
+        assert event_result.cycles == probing_result.cycles, (
+            f"engines disagree on dm+{label}@{scale_name}: "
+            f"{event_result.cycles} vs {probing_result.cycles}"
+        )
+        event_seconds = probing_seconds = float("inf")
+        for _ in range(rounds):
+            start = time.perf_counter()
+            run_events(make_memory())
+            event_seconds = min(event_seconds, time.perf_counter() - start)
+            start = time.perf_counter()
+            run_probing(make_memory())
+            probing_seconds = min(
+                probing_seconds, time.perf_counter() - start
+            )
+        if label == "banked-long" and scale_name in EVENT_SCALES:
+            assert event_seconds < probing_seconds, (
+                f"event engine lost to the probing loop on the "
+                f"long-latency banked tier @ {scale_name}: "
+                f"{event_seconds:.4f}s vs {probing_seconds:.4f}s"
+            )
+        base = {
+            "scale": scale_name,
+            "machine": f"dm+{label}",
+            "memory": make_memory().describe(),
+            "instructions": instructions,
+            "cycles": event_result.cycles,
+        }
+        rows.append({
+            **base,
+            "engine": "probing",
+            "seconds": round(probing_seconds, 6),
+            "ips": round(instructions / probing_seconds),
+        })
+        rows.append({
+            **base,
+            "engine": "events",
+            "seconds": round(event_seconds, 6),
+            "ips": round(instructions / event_seconds),
+            "speedup_vs_probing": round(probing_seconds / event_seconds, 2),
+        })
     return rows
 
 

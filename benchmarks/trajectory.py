@@ -46,7 +46,8 @@ _HEADER = {
         "soa": "struct-of-arrays engine (repro.machines.engine.simulate)",
         "objects": "pre-SoA object engine "
                    "(repro.machines.engine_objects.simulate_objects)",
-        "events": "event-heap scheduler (REPRO_EVENT_ENGINE=events; "
+        "events": "event-heap scheduler, driven directly "
+                  "(repro.machines.engine._simulate_events; "
                   "docs/timing.md, 'Event scheduling')",
         "probing": "per-cycle probing loop, probes off (the engine's "
                    "pre-event baseline for time-sensitive models)",

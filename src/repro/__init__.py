@@ -58,7 +58,6 @@ from .errors import (
     SimulationError,
 )
 from .experiments import (
-    Lab,
     run_bypass_ablation,
     run_code_expansion_ablation,
     run_esw_study,
@@ -145,7 +144,6 @@ __all__ = [
     "Instruction",
     "KernelBuilder",
     "KernelError",
-    "Lab",
     "LatencyModel",
     "MEMORY_DIFFERENTIALS",
     "MachineModel",

@@ -1,8 +1,8 @@
 """The experiment session: evaluate points and sweeps, cached and parallel.
 
-``Session`` subsumes the old ``Lab``. It keeps the same three levels of
-in-memory memoisation — architectural traces, compiled machine
-programs, simulation results — and adds two things:
+``Session`` keeps three levels of in-memory memoisation — architectural
+traces, compiled machine programs, simulation results — and adds two
+things:
 
 * a **content-addressed disk cache** (``cache_dir``): every result is
   stored under the SHA-256 of (point, scale, latency model, cache
@@ -30,13 +30,12 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import as_completed
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
 from ..config import LatencyModel
-from ..errors import ConfigError
 from ..ir import Program
 from ..ir.transforms import expand_code
 from ..kernels import build_kernel
@@ -95,22 +94,13 @@ class Session:
         cache_dir: directory of the content-addressed result cache;
             ``None`` disables disk caching.
         jobs: default process-pool width for :meth:`run` (1 = serial).
-        engine: scheduling-engine strategy override, forwarded to the
-            simulation engine (and to pool workers) through the
-            ``REPRO_EVENT_ENGINE`` toggle: ``"events"`` forces the
-            event-heap scheduler, ``"soa"`` the cycle loops, ``"auto"``
-            the capability-driven choice; ``None`` (default) leaves
-            the process environment in charge. Every strategy is
-            bit-exact, so cache keys do not cover this knob.
         batch: batched-sweep planner toggle for :meth:`run`. ``True``
-            groups sweep points that share a compiled program and
-            simulates each group through the batched engine
-            (:mod:`repro.machines.batch`); ``False`` keeps every point
-            on the per-point path; ``None`` (default) defers to the
-            ``REPRO_BATCH_ENGINE`` environment toggle (default: on).
-            Batched runs are bit-exact with per-point runs and write
-            the same per-point disk-cache entries, so this knob — like
-            ``engine`` — never enters cache keys.
+            (default) groups sweep points that share a compiled program
+            and simulates each group of two or more through the batched
+            engine (:mod:`repro.machines.batch`); ``False`` keeps every
+            point on the per-point path. Batched runs are bit-exact
+            with per-point runs and write the same per-point disk-cache
+            entries, so this knob never enters cache keys.
         trace: structured span tracing (:mod:`repro.obs.trace`). A
             path enables JSONL tracing to that file; ``None`` (the
             default) defers to the ``REPRO_TRACE`` environment
@@ -126,16 +116,10 @@ class Session:
     latencies: LatencyModel = field(default_factory=LatencyModel)
     cache_dir: str | Path | None = None
     jobs: int = 1
-    engine: str | None = None
-    batch: bool | None = None
+    batch: bool = True
     trace: str | Path | bool | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in (None, "auto", "events", "soa"):
-            raise ConfigError(
-                "engine must be one of None, 'auto', 'events', 'soa'; "
-                f"got {self.engine!r}"
-            )
         self._programs: dict[tuple[str, float], Program] = {}
         self._custom: dict[str, Program] = {}
         self._compiled: dict[tuple[str, float, str, str], object] = {}
@@ -486,22 +470,6 @@ class Session:
             "stats": dict(self.stats),
         }
 
-    @contextmanager
-    def _engine_env(self):
-        """Window the ``REPRO_EVENT_ENGINE`` toggle to the session knob."""
-        if self.engine is None:
-            yield
-            return
-        previous = os.environ.get("REPRO_EVENT_ENGINE")
-        os.environ["REPRO_EVENT_ENGINE"] = self.engine
-        try:
-            yield
-        finally:
-            if previous is None:
-                del os.environ["REPRO_EVENT_ENGINE"]
-            else:
-                os.environ["REPRO_EVENT_ENGINE"] = previous
-
     def _simulate(self, canonical: Point) -> SimulationResult:
         model = get_machine(canonical.machine)
         program = self._program_for(canonical.program, canonical.expansion)
@@ -518,7 +486,7 @@ class Session:
         )
         memory = canonical.memory.build(canonical.memory_differential)
         started = time.perf_counter()
-        with self._engine_env(), self._span(
+        with self._span(
             "simulate",
             program=canonical.program,
             machine=canonical.machine,
@@ -572,7 +540,7 @@ class Session:
                 memory=point.memory.build(point.memory_differential),
             ))
         started = time.perf_counter()
-        with self._engine_env(), self._span(
+        with self._span(
             "simulate",
             program=first.program,
             machine=first.machine,
@@ -612,9 +580,8 @@ class Session:
         before = self.telemetry()
         with self._span("sweep", sweep=name, points=len(points)):
             self._disk_prefetch(points)
-            mode = self._batch_mode()
-            if mode != "off":
-                self._prefetch_batch(points, effective_jobs, mode)
+            if self.batch:
+                self._prefetch_batch(points, effective_jobs)
             elif effective_jobs > 1:
                 self._prefetch_parallel(points, effective_jobs)
             results = tuple(self.evaluate(point) for point in points)
@@ -659,16 +626,6 @@ class Session:
             "strategies": strategies,
         }
 
-    def _batch_mode(self) -> str:
-        """Resolve the batched-sweep toggle: session knob, then env."""
-        if self.batch is True:
-            return "auto"
-        if self.batch is False:
-            return "off"
-        from ..machines.engine import _batch_engine_mode
-
-        return _batch_engine_mode()
-
     def _pending_points(
         self, points: tuple[Point, ...]
     ) -> list[Point]:
@@ -689,17 +646,15 @@ class Session:
                 pending.append(canonical)
         return pending
 
-    def _prefetch_batch(
-        self, points: tuple[Point, ...], jobs: int, mode: str
-    ) -> None:
+    def _prefetch_batch(self, points: tuple[Point, ...], jobs: int) -> None:
         """The batch planner: group, batch, and fan out a sweep.
 
         Pending points are grouped by
-        :func:`~repro.api.spec.point_batch_key`; groups whose lanes
-        would actually vectorize become single batch jobs (the unit of
-        pool parallelism), everything else stays on the per-point
-        path — pooled when ``jobs > 1``, or left to the serial
-        evaluation loop. Disk-cache writes remain per-point (the
+        :func:`~repro.api.spec.point_batch_key`; groups of two or more
+        whose lanes would actually vectorize become single batch jobs
+        (the unit of pool parallelism), everything else stays on the
+        per-point path — pooled when ``jobs > 1``, or left to the
+        serial evaluation loop. Disk-cache writes remain per-point (the
         results fold through :meth:`_store`), so cache keys and
         contents are identical to a per-point run.
         """
@@ -708,7 +663,6 @@ class Session:
         pending = self._pending_points(points)
         if not pending:
             return
-        floor = 1 if mode == "force" else 2
         groups: dict[tuple, list[Point]] = {}
         scalar: list[Point] = []
         for canonical in pending:
@@ -727,7 +681,7 @@ class Session:
                 groups.setdefault(key, []).append(canonical)
         batched: list[list[Point]] = []
         for group in groups.values():
-            if len(group) >= floor:
+            if len(group) >= 2:
                 batched.append(group)
             else:
                 scalar.extend(group)
@@ -800,7 +754,6 @@ class Session:
                 "du_width": self.du_width,
                 "swsm_width": self.swsm_width,
                 "latencies": self.latencies,
-                "engine": self.engine,
                 # Workers share the result cache and the digest-keyed
                 # lowering cache: the first worker to need a compiled
                 # program persists it, the rest load it. They never
@@ -954,7 +907,7 @@ class Session:
             pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
 
-    # -- convenience accessors (the old Lab vocabulary) --------------------------
+    # -- convenience accessors ---------------------------------------------------
 
     def dm_point(
         self, name: str, window: int | None, memory_differential: int, **over

@@ -109,11 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=True,
         help="batched sweep engine: group sweep points sharing a "
         "compiled program and simulate each group in one vectorized "
-        "run (bit-exact; default: on, or the REPRO_BATCH_ENGINE "
-        "env toggle; --no-batch forces per-point dispatch)",
+        "run (bit-exact; --no-batch forces per-point dispatch)",
     )
     parser.add_argument(
         "--trace",

@@ -3,10 +3,11 @@
 Every driver is a thin wrapper that builds the matching declarative
 sweep (see :mod:`repro.api.presets`), evaluates it through a
 :class:`~repro.api.Session`, and shapes the results into the artefact's
-row/curve dataclasses. ``Lab`` is a deprecated alias of ``Session``.
+row/curve dataclasses.
 """
 
 from ..api.session import Session, SweepResult
+from ..api.spec import UNLIMITED
 from .ablations import (
     BypassPoint,
     ExpansionPoint,
@@ -28,7 +29,6 @@ from .generalization import (
     GeneralizationRow,
     run_generalization_study,
 )
-from .lab import UNLIMITED, Lab
 from .scales import (
     EWR_DIFFERENTIALS,
     EWR_WINDOWS,
@@ -57,7 +57,6 @@ __all__ = [
     "GeneralizationRow",
     "HierarchyPoint",
     "IssueSplitPoint",
-    "Lab",
     "PRESETS",
     "PartitionPoint",
     "SPEEDUP_DIFFERENTIALS",

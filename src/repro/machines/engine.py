@@ -40,12 +40,10 @@ declared capability picks the strategy:
   the next event with deterministic FIFO tie-breaking at equal
   timestamps (docs/timing.md, "Event scheduling").
 
-The ``REPRO_EVENT_ENGINE`` environment toggle overrides the automatic
-choice (``events`` forces the event heap for every no-probe strategy,
-``soa`` disables it, ``auto`` — the default — reserves it for
-time-sensitive stateful models); whichever route runs, the schedule is
-bit-exact. The strategy chosen by the most recent :func:`simulate`
-call is recorded in :data:`LAST_STRATEGY` for tests and benchmarks.
+The choice depends only on the inputs — memory capability, probes,
+latencies — and whichever route runs, the schedule is bit-exact. The
+strategy chosen by the most recent :func:`simulate` call is recorded
+in :data:`LAST_STRATEGY` for tests and benchmarks.
 
 A separate probing loop carries the buffer/ESW probes; it uses the
 same chunked queries. All loops are event-driven — idle cycles are
@@ -91,46 +89,11 @@ def _period_skip_enabled() -> bool:
     return os.environ.get("REPRO_PERIOD_SKIP", "1") != "0"
 
 
-#: ``REPRO_EVENT_ENGINE`` spellings that force / forbid the event heap.
-_EVENT_FORCE = frozenset({"1", "on", "force", "events"})
-_EVENT_OFF = frozenset({"0", "off", "soa"})
-
 #: Event-heap keys pack ``(time << _TIME_SHIFT) | seq`` into one int so
 #: heap comparisons are single integer compares. 40 bits of ``seq``
 #: (one per pushed event, ~10^12) far exceeds any reachable run.
 _TIME_SHIFT = 40
 _SEQ_MASK = (1 << _TIME_SHIFT) - 1
-
-
-def _event_engine_mode() -> str:
-    """Resolve the ``REPRO_EVENT_ENGINE`` toggle to force/off/auto."""
-    value = os.environ.get("REPRO_EVENT_ENGINE", "auto").strip().lower()
-    if value in _EVENT_FORCE:
-        return "force"
-    if value in _EVENT_OFF:
-        return "off"
-    return "auto"
-
-
-#: ``REPRO_BATCH_ENGINE`` spellings that force / forbid batched sweeps.
-_BATCH_FORCE = frozenset({"1", "on", "force", "batch"})
-_BATCH_OFF = frozenset({"0", "off", "scalar"})
-
-
-def _batch_engine_mode() -> str:
-    """Resolve the ``REPRO_BATCH_ENGINE`` toggle to force/off/auto.
-
-    Mirrors ``REPRO_EVENT_ENGINE``: ``auto`` (default) lets the session
-    batch sweep groups of two or more points, ``force`` batches even
-    singleton groups (useful for tests), ``off`` keeps every point on
-    the scalar per-point path.
-    """
-    value = os.environ.get("REPRO_BATCH_ENGINE", "auto").strip().lower()
-    if value in _BATCH_FORCE:
-        return "force"
-    if value in _BATCH_OFF:
-        return "off"
-    return "auto"
 
 
 #: Cumulative steady-state accelerator activity, for tests and
@@ -151,8 +114,8 @@ PERF_COUNTERS = {
 
 #: Strategy chosen by the most recent :func:`simulate` call — one of
 #: ``uniform-table``, ``stateless-table``, ``speculative``,
-#: ``chunked``, ``events-table``, ``events-chunked`` or ``probing``
-#: (``batch`` after a :func:`_simulate_batch` vectorized run).
+#: ``chunked``, ``events-chunked`` or ``probing`` (``batch`` after a
+#: :func:`repro.machines.batch.simulate_batch` vectorized run).
 #: Diagnostic only (tests, benchmarks); not part of the public API.
 LAST_STRATEGY = "none"
 
@@ -303,24 +266,12 @@ def _route(
     """Pick a strategy and run it; records the choice on ``collector``."""
     low = program.lowered()
     if not probe_buffers and not probe_esw and low.min_latency >= 1:
-        mode = _event_engine_mode()
-        # Every event the heap scheduler pushes must be strictly in the
-        # future; ``mem_base >= 1`` (with ``min_latency >= 1`` above)
-        # guarantees it for memory arrivals too.
-        events_ok = latencies.mem_base >= 1
-        forced = mode == "force" and events_ok
         uniform = memory.uniform_extra_latency()
         if uniform is None and not low.memory_gids:
             uniform = 0  # no accesses: any model degenerates to uniform
         if uniform is not None:
             # One constant: precomputed table, steady-state skip armed.
             addlat = low.addlat_for(latencies.mem_base + uniform)
-            if forced:
-                return _chosen(collector, "events-table", _simulate_events(
-                    low, program, unit_configs, memory, addlat, latencies,
-                    collect_issue_times, max_cycles, chunked=False,
-                    collector=collector,
-                ))
             return _chosen(collector, "uniform-table", _simulate_fast(
                 low, program, unit_configs, memory, addlat, latencies,
                 collect_issue_times, max_cycles,
@@ -331,20 +282,13 @@ def _route(
             # answers every access in the program. The skip re-arms if
             # the resulting table proves periodic.
             table = _stateless_table(low, memory, latencies.mem_base)
-            if forced:
-                return _chosen(collector, "events-table", _simulate_events(
-                    low, program, unit_configs, memory, table, latencies,
-                    collect_issue_times, max_cycles, chunked=False,
-                    collector=collector,
-                ))
             return _chosen(collector, "stateless-table", _simulate_fast(
                 low, program, unit_configs, memory, table,
                 latencies, collect_issue_times, max_cycles,
                 steady_ok=True, chunked=False, collector=collector,
             )[0])
         if (
-            not forced
-            and memory.speculation_friendly()
+            memory.speculation_friendly()
             and max_cycles is None
             and low.total >= _SKIP_MIN_TOTAL
             and _period_skip_enabled()
@@ -357,17 +301,17 @@ def _route(
             )
             if result is not None:
                 return _chosen(collector, "speculative", result)
-        if forced or (
-            mode == "auto" and events_ok and memory.time_sensitive()
-        ):
+        # Every event the heap scheduler pushes must be strictly in the
+        # future; ``mem_base >= 1`` (with ``min_latency >= 1`` above)
+        # guarantees it for memory arrivals too.
+        if latencies.mem_base >= 1 and memory.time_sensitive():
             # Time-sensitive stateful models (bank queuing, in-flight
             # prefetch arrivals) burn idle cycles between long-latency
             # arrivals in the cycle loop; the event heap jumps the
             # clock straight to the next arrival instead.
             return _chosen(collector, "events-chunked", _simulate_events(
-                low, program, unit_configs, memory, low.base_addlat,
-                latencies, collect_issue_times, max_cycles, chunked=True,
-                collector=collector,
+                low, program, unit_configs, memory, latencies,
+                collect_issue_times, max_cycles, collector=collector,
             ))
         # Stateful-ordered: same fast loop, one chunked issue-order
         # query per unit per cycle.
@@ -387,29 +331,6 @@ def _route(
         collect_issue_times,
         max_cycles,
     ))
-
-
-def _simulate_batch(
-    program: MachineProgram,
-    lanes,
-    latencies: LatencyModel = DEFAULT_LATENCIES,
-    collect_issue_times: bool = False,
-) -> list[SimulationResult]:
-    """Batched-sweep strategy: N lanes of one program, one stepping loop.
-
-    ``lanes`` is a list of :class:`repro.machines.batch.BatchLane`
-    (unit configs + memory model per lane). Vectorizable lanes run
-    stacked in the 2-D NumPy loop of :mod:`repro.machines.batch`;
-    the rest fall back to per-lane :func:`simulate` (stateful models
-    land in the speculative / chunked paths as usual). Results are
-    bit-exact with per-point runs, lane by lane. Imported lazily —
-    the batch module depends back on this one for the scalar fallback.
-    """
-    from .batch import simulate_batch
-
-    return simulate_batch(
-        program, lanes, latencies, collect_issue_times=collect_issue_times
-    )
 
 
 def _stateless_table(
@@ -970,11 +891,9 @@ def _simulate_events(
     program: MachineProgram,
     unit_configs: dict[Unit, UnitConfig],
     memory: MemorySystem,
-    addlat: list[int],
     latencies: LatencyModel,
     collect_issue_times: bool,
     max_cycles: int | None,
-    chunked: bool,
     trace: list[tuple[int, int, int]] | None = None,
     collector: TelemetryCollector | None = None,
 ) -> SimulationResult:
@@ -1004,7 +923,7 @@ def _simulate_events(
 
     Per popped timestamp the loop drains *all* events, then processes
     the touched units in ascending unit order — the order the cycle
-    loops use — so with ``chunked`` a stateful model sees exactly one
+    loops use — so a stateful model sees exactly one
     issue-ordered :meth:`~repro.memory.MemorySystem.latencies` chunk
     per issuing unit per visited cycle, with ``now`` jumping across
     the skipped idle cycles (see docs/timing.md, "Event scheduling",
@@ -1020,7 +939,8 @@ def _simulate_events(
     is_mem = low.is_mem
     addr_arr = low.addr
     mem_base = latencies.mem_base
-    chunk_latencies = memory.latencies if chunked else None
+    chunk_latencies = memory.latencies
+    addlat = low.base_addlat
     cons = low.cons
     unit_of = low.unit_index
     pending = low.n_srcs.copy()
@@ -1147,7 +1067,7 @@ def _simulate_events(
                     gid = batch[0]
                     if issue_time is not None:
                         issue_time[gid] = t
-                    if chunk_latencies is not None and is_mem[gid]:
+                    if is_mem[gid]:
                         avail = t + mem_base + chunk_latencies(
                             [addr_arr[gid]], t
                         )[0]
@@ -1167,16 +1087,15 @@ def _simulate_events(
                             )
                             seq_codes.append(c)
                 else:
-                    if chunk_latencies is not None:
-                        mem_gids = [g for g in batch if is_mem[g]]
-                        if mem_gids:
-                            extra_iter = iter(chunk_latencies(
-                                [addr_arr[g] for g in mem_gids], t
-                            ))
+                    mem_gids = [g for g in batch if is_mem[g]]
+                    if mem_gids:
+                        extra_iter = iter(chunk_latencies(
+                            [addr_arr[g] for g in mem_gids], t
+                        ))
                     for gid in batch:
                         if issue_time is not None:
                             issue_time[gid] = t
-                        if chunk_latencies is not None and is_mem[gid]:
+                        if is_mem[gid]:
                             avail = t + mem_base + next(extra_iter)
                         else:
                             avail = t + addlat[gid]

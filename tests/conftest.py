@@ -1,4 +1,4 @@
-"""Shared fixtures: small hand-built programs and a tiny lab.
+"""Shared fixtures: small hand-built programs and a tiny session.
 
 Simulation-heavy fixtures are session-scoped; everything they return is
 treated as immutable by the tests.
@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import KernelBuilder, Program
-from repro.experiments import Lab
+from repro import KernelBuilder, Program, Session
 
 
 def build_daxpy(n: int = 16, name: str = "daxpy") -> Program:
@@ -86,15 +85,15 @@ def rmw_chain() -> Program:
 
 
 @pytest.fixture(scope="session")
-def tiny_lab() -> Lab:
-    """A lab small enough for wiring tests (not for fidelity checks)."""
-    return Lab(scale=2_000)
+def tiny_lab() -> Session:
+    """A session small enough for wiring tests (not for fidelity checks)."""
+    return Session(scale=2_000)
 
 
 @pytest.fixture(scope="session")
-def claims_lab() -> Lab:
-    """The lab used by the paper-claims integration tests."""
-    return Lab(scale=8_000)
+def claims_lab() -> Session:
+    """The session used by the paper-claims integration tests."""
+    return Session(scale=8_000)
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,11 @@ must leave disk-cache keys and payloads untouched. The suite checks:
 * lane-for-lane parity against ``simulate`` on every declarative
   memory kind and both machine models (stateful kinds exercise the
   per-lane fallback path);
-* the same parity under every engine toggle
-  (``REPRO_PERIOD_SKIP`` × ``REPRO_EVENT_ENGINE``);
+* the same parity with the ``REPRO_PERIOD_SKIP`` toggle on and off;
 * Session runs with ``batch=True`` vs ``batch=False``: identical
   results, identical cache file names, byte-identical payloads,
   serial and ``jobs=4``;
-* the ``REPRO_BATCH_ENGINE`` off/force modes, the batch perf
+* singleton groups through ``Session.evaluate_batch``, the batch perf
   counters, the on-disk lowering cache, and the threaded warm path;
 * a Hypothesis property over generated ``gen:<family>:<seed>``
   kernels.
@@ -207,13 +206,9 @@ class TestLaneParity:
             assert lane_mem.queries == ref_mem.queries
 
     @pytest.mark.parametrize("period_skip", ("1", "0"))
-    @pytest.mark.parametrize("event_engine", ("0", "1"))
-    def test_parity_under_engine_toggles(
-        self, monkeypatch, period_skip, event_engine
-    ):
-        """The toggles change strategy, never the schedule."""
+    def test_parity_under_engine_toggles(self, monkeypatch, period_skip):
+        """The skip toggle changes strategy, never the schedule."""
         monkeypatch.setenv("REPRO_PERIOD_SKIP", period_skip)
-        monkeypatch.setenv("REPRO_EVENT_ENGINE", event_engine)
         compiled = compiled_for("flo52q", "dm")
         grid = [(8, 60), (64, 0), (64, 60)]
         lanes = [
@@ -317,29 +312,25 @@ class TestSessionParity:
         # Stateful lanes never enter a batch group.
         assert batched.stats["batch_groups"] == 0
 
-    def test_env_off_disables_batching(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "off")
-        session, _, _ = run_session(tmp_path, "env", batch=None)
-        assert session.stats["batch_groups"] == 0
-
-    def test_env_force_batches_singletons(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "force")
-        sweep = Sweep.grid(
-            program="trfd", machine=("dm",), window=(16,),
-            memory_differential=(60,),
-        )
-        session, outcome, _ = run_session(
-            tmp_path, "force", batch=None, sweep=sweep
-        )
-        assert session.stats["batch_groups"] == 1
-        assert session.stats["batch_points"] == 1
-        want = Session(scale=TINY).run(sweep)
-        assert outcome.cycles() == want.cycles()
+    def test_evaluate_batch_handles_singletons(self):
+        # The planner only batches groups of two or more; a one-lane
+        # group through evaluate_batch must still match evaluate.
+        point = Point(program="trfd", machine="dm", window=16,
+                      memory_differential=60)
+        session = Session(scale=TINY)
+        [(got_point, got)] = session.evaluate_batch([point])
+        assert got_point == point
+        assert got == Session(scale=TINY).evaluate(point)
 
     def test_session_knob_overrides_env(self, tmp_path, monkeypatch):
+        # The knob is the only switch: a leftover REPRO_BATCH_ENGINE in
+        # the environment changes nothing in either direction.
         monkeypatch.setenv("REPRO_BATCH_ENGINE", "force")
         session, _, _ = run_session(tmp_path, "knob", batch=False)
         assert session.stats["batch_groups"] == 0
+        monkeypatch.setenv("REPRO_BATCH_ENGINE", "off")
+        session, _, _ = run_session(tmp_path, "default", batch=True)
+        assert session.stats["batch_groups"] > 0
 
 
 class TestLoweringCache:

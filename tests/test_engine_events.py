@@ -5,15 +5,18 @@ must produce the exact schedule of the SoA cycle loops and of the
 legacy object engine — across both machines (DM, SWSM), every memory
 model kind the hierarchy scenario space ships
 (fixed/bypass/cache/hierarchy/banked/prefetch), probes on and off, and
-``REPRO_PERIOD_SKIP`` on and off. The suite drives strategy selection
-through the ``REPRO_EVENT_ENGINE`` toggle and pins both the automatic
-time-sensitive routing and the FIFO seq-counter determinism of the
-event heap (docs/timing.md, "Event scheduling").
+``REPRO_PERIOD_SKIP`` on and off. Shipped routing sends time-sensitive
+models to the heap; the suite checks that routing, drives the heap
+directly where routing would not pick it, and pins the FIFO
+seq-counter determinism of the event heap (docs/timing.md, "Event
+scheduling").
 
 Reuses the PR-2/PR-3 parity fixtures from ``test_engine_soa``.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -32,10 +35,9 @@ from repro import DecoupledMachine, SuperscalarMachine
 from repro.api import MemorySpec, Point, Session
 from repro.api.presets import HIERARCHY_MEMORY_VARIANTS
 from repro.config import DEFAULT_LATENCIES
-from repro.errors import ConfigError
 from repro.kernels import build_kernel
 from repro.machines import engine, simulate, simulate_objects
-from repro.machines.engine import _simulate_events
+from repro.machines.engine import _simulate_events, _simulate_fast
 from repro.memory import BankedMemory, FixedLatencyMemory
 
 MD = 60
@@ -48,59 +50,59 @@ def build_memory(label):
     return spec.build(MD)
 
 
-@pytest.fixture()
-def events(monkeypatch):
-    monkeypatch.setenv("REPRO_EVENT_ENGINE", "events")
-    return monkeypatch
+def run_events(compiled, configs, memory, trace=None):
+    """The event heap, driven directly (routing picks it only for
+    time-sensitive models)."""
+    return _simulate_events(
+        compiled.lowered(), compiled, configs, memory, DEFAULT_LATENCIES,
+        collect_issue_times=True, max_cycles=None, trace=trace,
+    )
 
 
 class TestEventEngineParity:
-    """Forced event engine vs SoA loops vs the legacy object engine."""
+    """Event heap vs shipped routing vs the legacy object engine."""
 
     @pytest.mark.parametrize("label", MEMORY_KINDS)
-    def test_every_memory_kind_both_machines(self, label, monkeypatch):
+    def test_every_memory_kind_both_machines(self, label):
         for compiled, make_configs in compiled_variants("flo52q", SMALL):
             configs = make_configs(32)
-            monkeypatch.setenv("REPRO_EVENT_ENGINE", "events")
-            forced = simulate(compiled, configs, build_memory(label),
-                              collect_issue_times=True)
-            assert engine.LAST_STRATEGY in ("events-table", "events-chunked")
-            monkeypatch.setenv("REPRO_EVENT_ENGINE", "soa")
-            soa = simulate(compiled, configs, build_memory(label),
-                           collect_issue_times=True)
-            assert not engine.LAST_STRATEGY.startswith("events")
+            shipped = simulate(compiled, configs, build_memory(label),
+                               collect_issue_times=True)
+            events = run_events(compiled, configs, build_memory(label))
             legacy = simulate_objects(compiled, configs, build_memory(label),
                                       collect_issue_times=True)
-            assert_same_schedule(forced, soa)
-            assert_same_schedule(forced, legacy)
+            assert_same_schedule(shipped, legacy)
+            assert_same_schedule(events, legacy)
 
     @pytest.mark.parametrize("label", [l for l, _ in stateful_model_zoo()])
-    def test_stateful_zoo_configurations(self, label, events):
+    def test_stateful_zoo_configurations(self, label):
         # The zoo's configurations (small bypass, 4-bank queue, ...)
         # differ from the hierarchy scenario space; cover them too.
         make_memory = dict(stateful_model_zoo())[label]
         for compiled, make_configs in compiled_variants("trfd", SMALL):
-            forced = simulate(compiled, make_configs(32), make_memory(),
-                              collect_issue_times=True)
+            events = run_events(compiled, make_configs(32), make_memory())
             legacy = simulate_objects(compiled, make_configs(32),
                                       make_memory(),
                                       collect_issue_times=True)
-            assert_same_schedule(forced, legacy)
+            assert_same_schedule(events, legacy)
 
-    def test_stateful_stats_identical(self, monkeypatch):
+    def test_stateful_stats_identical(self):
         # The event engine feeds a stateful model the same chunk
-        # sequence as the cycle loop, so hit/conflict counters agree.
+        # sequence as the chunked cycle loop, so hit/conflict counters
+        # agree.
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
+        low = compiled.lowered()
         for label in ("banked", "prefetch", "cache"):
-            monkeypatch.setenv("REPRO_EVENT_ENGINE", "events")
             ev_memory = build_memory(label)
-            simulate(compiled, dm_configs(32), ev_memory)
-            monkeypatch.setenv("REPRO_EVENT_ENGINE", "soa")
-            soa_memory = build_memory(label)
-            simulate(compiled, dm_configs(32), soa_memory)
-            assert ev_memory.stats() == soa_memory.stats()
+            run_events(compiled, dm_configs(32), ev_memory)
+            loop_memory = build_memory(label)
+            _simulate_fast(
+                low, compiled, dm_configs(32), loop_memory, low.base_addlat,
+                DEFAULT_LATENCIES, False, None, steady_ok=False, chunked=True,
+            )
+            assert ev_memory.stats() == loop_memory.stats()
 
-    def test_random_loop_nests(self, events):
+    def test_random_loop_nests(self):
         for seed in (3, 11, 29):
             program = loop_nest_program(seed, body=24, iterations=130)
             for compile_fn, make_configs in (
@@ -108,40 +110,37 @@ class TestEventEngineParity:
                 (SuperscalarMachine.compile, swsm_configs),
             ):
                 compiled = compile_fn(program)
-                forced = simulate(compiled, make_configs(16),
-                                  FixedLatencyMemory(MD),
-                                  collect_issue_times=True)
+                events = run_events(compiled, make_configs(16),
+                                    FixedLatencyMemory(MD))
                 legacy = simulate_objects(compiled, make_configs(16),
                                           FixedLatencyMemory(MD),
                                           collect_issue_times=True)
-                assert_same_schedule(forced, legacy)
+                assert_same_schedule(events, legacy)
 
     def test_period_skip_toggle_is_invisible(self, monkeypatch):
         # The event engine has no skip layer, so REPRO_PERIOD_SKIP must
-        # not change its schedule — and the skip-accelerated SoA run
-        # must agree with both.
+        # not change its schedule — and the skip-accelerated shipped
+        # run must agree with both.
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
         runs = {}
         for skip in ("1", "0"):
             monkeypatch.setenv("REPRO_PERIOD_SKIP", skip)
-            monkeypatch.setenv("REPRO_EVENT_ENGINE", "events")
-            runs["events", skip] = simulate(
-                compiled, dm_configs(32), FixedLatencyMemory(MD),
-                collect_issue_times=True)
-            monkeypatch.setenv("REPRO_EVENT_ENGINE", "soa")
-            runs["soa", skip] = simulate(
+            runs["events", skip] = run_events(
+                compiled, dm_configs(32), FixedLatencyMemory(MD))
+            runs["shipped", skip] = simulate(
                 compiled, dm_configs(32), FixedLatencyMemory(MD),
                 collect_issue_times=True)
         baseline = runs["events", "1"]
         for other in runs.values():
             assert_same_schedule(baseline, other)
 
-    def test_probes_route_past_the_event_engine(self, events):
-        # Probing runs keep their dedicated loop whatever the toggle
-        # says; results must match the legacy engine bit for bit.
+    def test_probes_route_past_the_event_engine(self):
+        # Probing runs keep their dedicated loop, even on time-sensitive
+        # models routing would otherwise send to the heap; results must
+        # match the legacy engine bit for bit.
         compiled = DecoupledMachine.compile(build_kernel("mdg", TINY))
         for label in ("fixed", "banked", "prefetch"):
-            forced = simulate(compiled, dm_configs(32), build_memory(label),
+            probed = simulate(compiled, dm_configs(32), build_memory(label),
                               probe_buffers=True, probe_esw=True,
                               collect_issue_times=True)
             assert engine.LAST_STRATEGY == "probing"
@@ -149,15 +148,18 @@ class TestEventEngineParity:
                                       build_memory(label),
                                       probe_buffers=True, probe_esw=True,
                                       collect_issue_times=True)
-            assert_same_schedule(forced, legacy)
-            assert forced.buffer_occupancy is not None
+            assert_same_schedule(probed, legacy)
+            assert probed.buffer_occupancy is not None
 
 
 class TestStrategySelection:
-    """The REPRO_EVENT_ENGINE toggle and the automatic routing."""
+    """Routing depends on the inputs alone.
 
-    def test_auto_routes_time_sensitive_models_to_the_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_ENGINE", raising=False)
+    The retired ``REPRO_EVENT_ENGINE`` toggle is inert: no spelling of
+    it (force, off or unknown) moves a run off its shipped route.
+    """
+
+    def test_auto_routes_time_sensitive_models_to_the_heap(self):
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
         simulate(compiled, dm_configs(32), build_memory("banked"))
         assert engine.LAST_STRATEGY == "events-chunked"
@@ -171,14 +173,14 @@ class TestStrategySelection:
         monkeypatch.setenv("REPRO_EVENT_ENGINE", spelling)
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
         simulate(compiled, dm_configs(16), FixedLatencyMemory(MD))
-        assert engine.LAST_STRATEGY == "events-table"
+        assert engine.LAST_STRATEGY == "uniform-table"
 
     @pytest.mark.parametrize("spelling", ["0", "off", "soa"])
     def test_off_spellings(self, spelling, monkeypatch):
         monkeypatch.setenv("REPRO_EVENT_ENGINE", spelling)
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
         simulate(compiled, dm_configs(16), build_memory("banked"))
-        assert engine.LAST_STRATEGY == "chunked"
+        assert engine.LAST_STRATEGY == "events-chunked"
 
     def test_unknown_spelling_is_auto(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVENT_ENGINE", "bogus")
@@ -186,10 +188,10 @@ class TestStrategySelection:
         simulate(compiled, dm_configs(16), FixedLatencyMemory(MD))
         assert engine.LAST_STRATEGY == "uniform-table"
 
-    def test_event_runs_counter_increments(self, events):
+    def test_event_runs_counter_increments(self):
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
         before = engine.PERF_COUNTERS["event_runs"]
-        simulate(compiled, dm_configs(16), FixedLatencyMemory(MD))
+        simulate(compiled, dm_configs(16), build_memory("banked"))
         assert engine.PERF_COUNTERS["event_runs"] == before + 1
 
 
@@ -203,32 +205,23 @@ class TestHeapDeterminism:
     between runs and worker processes.
     """
 
-    def _trace(self, compiled, memory, chunked):
-        low = compiled.lowered()
-        configs = dm_configs(32)
+    def _trace(self, compiled, memory):
         trace = []
-        addlat = (low.base_addlat if chunked
-                  else low.addlat_for(DEFAULT_LATENCIES.mem_base + MD))
-        result = _simulate_events(
-            low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
-            collect_issue_times=True, max_cycles=None, chunked=chunked,
-            trace=trace,
-        )
+        result = run_events(compiled, dm_configs(32), memory, trace)
         return result, trace
 
     def test_identical_runs_produce_identical_traces(self):
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
         first_result, first = self._trace(
-            compiled, BankedMemory(extra=MD, banks=4, busy=3), chunked=True)
+            compiled, BankedMemory(extra=MD, banks=4, busy=3))
         second_result, second = self._trace(
-            compiled, BankedMemory(extra=MD, banks=4, busy=3), chunked=True)
+            compiled, BankedMemory(extra=MD, banks=4, busy=3))
         assert first == second
         assert_same_schedule(first_result, second_result)
 
     def test_popped_times_non_decreasing_and_seq_fifo(self):
         compiled = DecoupledMachine.compile(build_kernel("flo52q", TINY))
-        _, trace = self._trace(compiled, FixedLatencyMemory(MD),
-                               chunked=False)
+        _, trace = self._trace(compiled, FixedLatencyMemory(MD))
         assert trace, "event engine must pop at least one event"
         for (t0, s0, _), (t1, s1, _) in zip(trace, trace[1:]):
             assert t1 >= t0
@@ -238,25 +231,27 @@ class TestHeapDeterminism:
 
     def test_seq_counter_is_injective(self):
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
-        _, trace = self._trace(compiled, FixedLatencyMemory(MD),
-                               chunked=False)
+        _, trace = self._trace(compiled, FixedLatencyMemory(MD))
         seqs = [seq for _, seq, _ in trace]
         assert len(seqs) == len(set(seqs))
 
 
 class TestSessionEngineKnob:
-    """Session(engine=...) forwards the strategy to (worker) engines."""
+    """Session has no engine knob: every point routes from its inputs."""
 
     def test_engine_choice_is_bit_invariant(self):
-        point = Point(program="flo52q", machine="dm", window=16,
-                      memory=MemorySpec(kind="banked"),
-                      memory_differential=MD)
-        results = [
-            Session(scale=2_000, engine=choice).evaluate(point)
-            for choice in (None, "auto", "events", "soa")
+        # The only dispatch choice left, batched vs per-point, never
+        # changes a result.
+        points = [
+            Point(program="flo52q", machine="dm", window=window,
+                  memory=MemorySpec(kind=kind), memory_differential=MD)
+            for window in (16, 32)
+            for kind in ("fixed", "banked")
         ]
-        for other in results[1:]:
-            assert other == results[0]
+        batched = Session(scale=2_000).run(points)
+        scalar = Session(scale=2_000, batch=False).run(points)
+        single = tuple(Session(scale=2_000).evaluate(p) for p in points)
+        assert batched.results == scalar.results == single
 
     def test_parallel_sweep_matches_serial(self):
         points = [
@@ -265,18 +260,19 @@ class TestSessionEngineKnob:
             for name in ("trfd", "mdg")
             for machine in ("dm", "swsm")
         ]
-        serial = Session(scale=2_000, engine="soa").run(points)
-        parallel = Session(scale=2_000, engine="events").run(points, jobs=2)
+        serial = Session(scale=2_000).run(points)
+        parallel = Session(scale=2_000).run(points, jobs=2)
         assert serial.cycles() == parallel.cycles()
         assert serial.results == parallel.results
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            Session(engine="warp")
+        with pytest.raises(TypeError):
+            Session(engine="events")
 
-    def test_environment_restored_after_evaluate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_ENGINE", "soa")
+    def test_environment_restored_after_evaluate(self):
+        before = dict(os.environ)
         point = Point(program="trfd", machine="dm", window=16,
+                      memory=MemorySpec(kind="banked"),
                       memory_differential=MD)
-        Session(scale=2_000, engine="events").evaluate(point)
-        assert __import__("os").environ["REPRO_EVENT_ENGINE"] == "soa"
+        Session(scale=2_000).evaluate(point)
+        assert dict(os.environ) == before

@@ -168,10 +168,7 @@ class TestSteadyStateAccelerator:
         assert steady.period >= 1
         assert sum(steady.unit_counts) == steady.period
 
-    def test_skip_fires_on_small_kernels(self, monkeypatch):
-        # The skip layer lives in the SoA fast loop; pin the engine so
-        # a REPRO_EVENT_ENGINE=force environment cannot reroute it.
-        monkeypatch.setenv("REPRO_EVENT_ENGINE", "soa")
+    def test_skip_fires_on_small_kernels(self):
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
         before = PERF_COUNTERS["steady_skips"]
         new = simulate(compiled, dm_configs(32), FixedLatencyMemory(60),

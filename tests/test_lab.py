@@ -1,4 +1,5 @@
-"""Unit tests for the experiment lab (caching and derived metrics)."""
+"""Unit tests for the session's lab accessors (caching and derived
+metrics through ``dm_cycles``, ``dm_lhe``, ``serial_cycles``, ...)."""
 
 from __future__ import annotations
 
@@ -7,20 +8,10 @@ import warnings
 import pytest
 
 from repro.api import Session
-from repro.experiments import Lab
 from repro.kernels import build_synthetic_stream
 
 
 class TestDeprecation:
-    def test_lab_warns_on_construction(self):
-        with pytest.warns(DeprecationWarning, match="Lab is deprecated"):
-            Lab(scale=500)
-
-    def test_lab_still_is_a_session(self):
-        with pytest.warns(DeprecationWarning):
-            lab = Lab(scale=500)
-        assert isinstance(lab, Session)
-
     def test_session_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -64,7 +55,7 @@ class TestWindows:
 
 class TestCustomPrograms:
     def test_register_program(self):
-        lab = Lab(scale=1_000)
+        lab = Session(scale=1_000)
         program = build_synthetic_stream(1_000, name="custom")
         lab.register_program(program)
         assert lab.program("custom") is program

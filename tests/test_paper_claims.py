@@ -191,10 +191,10 @@ class TestEsw:
         reasons at any differential, so this uses a shallow-chain
         stream where the DU genuinely waits on the decoupled memory.)
         """
-        from repro.experiments import Lab
+        from repro.api import Session
         from repro.kernels import SyntheticParams, build_synthetic_stream
 
-        lab = Lab(scale=4_000)
+        lab = Session(scale=4_000)
         lab.register_program(build_synthetic_stream(
             4_000, SyntheticParams(loads=2, stores=1, chain_depth=2),
             name="stream",

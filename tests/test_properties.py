@@ -3,8 +3,6 @@ event-heap scheduler's determinism invariants."""
 
 from __future__ import annotations
 
-import os
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,31 +121,16 @@ _MACHINES = {
 }
 
 
-def _event_trace(compiled, memory, chunked):
-    """One forced event-engine run; returns (result, popped events)."""
+def _event_trace(compiled, memory):
+    """One direct event-heap run; returns (result, popped events)."""
     low = compiled.lowered()
     _, configs = _MACHINES["dm" if len(low.units) == 2 else "swsm"]
     trace: list[tuple[int, int, int]] = []
-    addlat = (low.base_addlat if chunked
-              else low.addlat_for(DEFAULT_LATENCIES.mem_base + 60))
     result = _simulate_events(
-        low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
-        collect_issue_times=True, max_cycles=None, chunked=chunked,
-        trace=trace,
+        low, compiled, configs, memory, DEFAULT_LATENCIES,
+        collect_issue_times=True, max_cycles=None, trace=trace,
     )
     return result, trace
-
-
-def _simulate_with_engine(compiled, configs, memory, choice):
-    previous = os.environ.get("REPRO_EVENT_ENGINE")
-    os.environ["REPRO_EVENT_ENGINE"] = choice
-    try:
-        return simulate(compiled, configs, memory, collect_issue_times=True)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_EVENT_ENGINE"]
-        else:
-            os.environ["REPRO_EVENT_ENGINE"] = previous
 
 
 class TestEventHeapProperties:
@@ -164,8 +147,7 @@ class TestEventHeapProperties:
         compiled = DecoupledMachine.compile(
             build_kernel(f"gen:{family}:{seed}", _GEN_SCALE)
         )
-        _, trace = _event_trace(compiled, _MEMORY_FACTORIES[kind](),
-                                chunked=kind != "fixed")
+        _, trace = _event_trace(compiled, _MEMORY_FACTORIES[kind]())
         times = [t for t, _, _ in trace]
         assert times == sorted(times)
 
@@ -184,9 +166,9 @@ class TestEventHeapProperties:
         compiled = compile_fn(build_kernel(f"gen:{family}:{seed}",
                                            _GEN_SCALE))
         first_result, first = _event_trace(
-            compiled, BankedMemory(extra=60, banks=4, busy=3), chunked=True)
+            compiled, BankedMemory(extra=60, banks=4, busy=3))
         second_result, second = _event_trace(
-            compiled, BankedMemory(extra=60, banks=4, busy=3), chunked=True)
+            compiled, BankedMemory(extra=60, banks=4, busy=3))
         assert first == second
         assert first_result == second_result
         for (t0, s0, _), (t1, s1, _) in zip(first, first[1:]):
@@ -205,9 +187,13 @@ class TestEventHeapProperties:
         compile_fn, configs = _MACHINES[machine]
         compiled = compile_fn(build_kernel(f"gen:{family}:{seed}",
                                            _GEN_SCALE))
+        # The heap, driven directly, agrees with whichever loop the
+        # shipped routing picks for this memory model.
         make_memory = _MEMORY_FACTORIES[kind]
-        forced = _simulate_with_engine(compiled, configs, make_memory(),
-                                       "events")
-        soa = _simulate_with_engine(compiled, configs, make_memory(), "soa")
-        auto = _simulate_with_engine(compiled, configs, make_memory(), "auto")
-        assert forced == soa == auto
+        events = _simulate_events(
+            compiled.lowered(), compiled, configs, make_memory(),
+            DEFAULT_LATENCIES, collect_issue_times=True, max_cycles=None,
+        )
+        shipped = simulate(compiled, configs, make_memory(),
+                           collect_issue_times=True)
+        assert events == shipped

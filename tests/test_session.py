@@ -1,9 +1,12 @@
 """Session tests: disk cache behaviour, parallel parity, machine registry,
-and the no-shared-state regression for latency models."""
+and the no-shared-state regressions (latency models, process environment)."""
 
 from __future__ import annotations
 
 import dataclasses
+import os
+from collections.abc import MutableMapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -11,7 +14,6 @@ import pytest
 from repro.api import MemorySpec, Point, Session, Sweep, speedup_sweep
 from repro.config import LatencyModel
 from repro.errors import ConfigError
-from repro.experiments import Lab
 from repro.kernels import build_synthetic_stream
 from repro.machines import (
     SimulationResult,
@@ -222,7 +224,7 @@ class TestMachineRegistry:
 
 
 class TestNoSharedState:
-    """Regression: Lab used to share one LatencyModel across instances."""
+    """Regression: sessions share no mutable state across instances."""
 
     def test_latency_model_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -230,7 +232,35 @@ class TestNoSharedState:
 
     def test_sessions_get_independent_latency_instances(self):
         assert Session().latencies is not Session().latencies
-        assert Lab().latencies is not Lab().latencies
+
+    def test_no_run_path_writes_the_environment(self, monkeypatch):
+        # Engine routing comes from each point alone: evaluating or
+        # sweeping from several threads — batched, per-point or through
+        # a process pool — never writes the shared process environment,
+        # and the only REPRO_* variables read are the documented ones.
+        environ = _RecordingEnviron(os.environ)
+        monkeypatch.setattr(os, "environ", environ)
+        points = [
+            Point(program="trfd", machine=machine, window=window,
+                  memory=MemorySpec(kind=kind), memory_differential=60)
+            for machine in ("dm", "swsm")
+            for window in (8, 16)
+            for kind in ("fixed", "banked")
+        ]
+
+        def work(batch: bool) -> int:
+            session = Session(scale=SCALE, batch=batch)
+            session.evaluate(points[-1])
+            return len(session.run(points))
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            done = list(pool.map(work, (True, False, True, False),
+                                 timeout=300))
+        assert done == [len(points)] * 4
+        assert len(Session(scale=SCALE).run(points, jobs=2)) == len(points)
+        assert environ.writes == []
+        assert {key for key in environ.reads if key.startswith("REPRO_")} \
+            <= {"REPRO_PERIOD_SKIP", "REPRO_TRACE", "REPRO_SCALE"}
 
     def test_registered_programs_do_not_leak_across_sessions(self):
         a = Session(scale=SCALE)
@@ -240,6 +270,36 @@ class TestNoSharedState:
         assert a.program("trfd") is custom
         assert b.program("trfd") is not custom
         assert len(b.program("trfd")) != len(custom)
+
+
+class _RecordingEnviron(MutableMapping):
+    """A process-environment stand-in that records reads and writes."""
+
+    def __init__(self, initial) -> None:
+        self._data = dict(initial)
+        self.reads: set[str] = set()
+        self.writes: list[tuple[str, str]] = []
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return self._data[key]
+
+    def __setitem__(self, key, value) -> None:
+        self.writes.append(("set", key))
+        self._data[key] = value
+
+    def __delitem__(self, key) -> None:
+        self.writes.append(("del", key))
+        del self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def copy(self) -> dict:
+        return dict(self._data)
 
 
 class TestBypassMeta:

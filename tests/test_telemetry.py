@@ -5,7 +5,7 @@ Covers the observability PR's guarantees end to end:
 * every result carries a :class:`~repro.obs.telemetry.RunTelemetry`
   with a known strategy label and exact counter attribution;
 * per-run counters sum to the global ``PERF_COUNTERS`` delta for the
-  scalar, forced-event and batched engines alike;
+  scalar, event-heap and batched engines alike;
 * a ``jobs=4`` pool sweep reports the same aggregated telemetry as the
   ``jobs=1`` run (pool workers ship counters home on their results);
 * persisted bytes stay telemetry-free while the store's telemetry
@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from repro.api import Point, Session, Sweep
+from repro.api import MemorySpec, Point, Session, Sweep
 from repro.machines import engine
 from repro.obs import (
     COUNTER_KEYS,
@@ -36,18 +36,18 @@ SCALE = 1_500
 #: Every strategy label an engine run may report.
 KNOWN_STRATEGIES = {
     "uniform-table", "stateless-table", "speculative", "chunked",
-    "events-table", "events-chunked", "probing", "batch", "objects",
-    "serial", "cached",
+    "events-chunked", "probing", "batch", "objects", "serial", "cached",
 }
 
 
-def _sweep(name: str = "telemetry") -> Sweep:
+def _sweep(name: str = "telemetry", **axes) -> Sweep:
     return Sweep.grid(
         name=name,
         program="flo52q",
         machine=("dm", "swsm"),
         window=(8, 16),
         memory_differential=60,
+        **axes,
     )
 
 
@@ -103,30 +103,25 @@ class TestRunTelemetry:
 
 
 class TestEngineParity:
-    """Scalar, forced-event and batched engines agree on everything."""
+    """Scalar, event-heap and batched engines agree on everything."""
 
-    @pytest.fixture(autouse=True)
-    def _no_env_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_BATCH_ENGINE", raising=False)
-
-    def _run(self, **session_kwargs):
+    def _run(self, sweep=None, **session_kwargs):
         before = engine.counters_snapshot()
         session = Session(scale=SCALE, **session_kwargs)
-        outcome = session.run(_sweep())
+        outcome = session.run(sweep or _sweep())
         delta = _counter_delta(before, engine.counters_snapshot())
         return session, outcome, delta
 
     def test_results_and_counter_attribution_per_engine(self):
         scalar, scalar_out, scalar_delta = self._run(batch=False)
-        events, events_out, events_delta = self._run(
-            batch=False, engine="events"
-        )
         batched, batched_out, batched_delta = self._run(batch=True)
+        # Banked memory is time-sensitive: routing sends it to the heap.
+        events, _, events_delta = self._run(
+            _sweep(memory=(MemorySpec(kind="banked"),))
+        )
 
-        # Bit-identical simulation outputs across all three engines.
+        # Bit-identical simulation outputs across scalar and batched.
         assert [r.cycles for r in scalar_out.results] == \
-            [r.cycles for r in events_out.results] == \
             [r.cycles for r in batched_out.results]
 
         # Strategy labels match the engine that ran.

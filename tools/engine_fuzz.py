@@ -3,13 +3,13 @@
 Crosses a corpus of generated kernels (``gen:<family>:<seed>`` names)
 plus two paper kernels with both machines (DM, SWSM) and every memory
 model kind in the hierarchy scenario space, then runs each case
-through all four engines — the event-heap scheduler (forced via
-``REPRO_EVENT_ENGINE=events``), the SoA cycle loops (``soa``), the
-legacy object engine, and the batched sweep engine
-(``repro.machines.batch``, run as a two-lane batch at two memory
-differentials and compared lane by lane) — and diffs the results
-field by field. Any divergence is a bug in one of the engines; the
-tool prints the first mismatching field per case and exits non-zero.
+through four columns — shipped ``simulate`` routing (``shipped``), the
+event-heap scheduler driven directly (``events``), the legacy object
+engine, and the batched sweep engine (``repro.machines.batch``, run as
+a two-lane batch at two memory differentials and compared lane by
+lane) — and diffs the results field by field. Any divergence is a bug
+in one of the engines; the tool prints the first mismatching field per
+case and exits non-zero.
 
 Usage (CI runs it at tiny scale, mirroring tools/service_smoke.py):
 
@@ -22,7 +22,6 @@ Usage (CI runs it at tiny scale, mirroring tools/service_smoke.py):
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -30,11 +29,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import DecoupledMachine, SuperscalarMachine  # noqa: E402
 from repro.api.presets import HIERARCHY_MEMORY_VARIANTS  # noqa: E402
-from repro.config import UnitConfig  # noqa: E402
+from repro.config import DEFAULT_LATENCIES, UnitConfig  # noqa: E402
 from repro.experiments import active_preset  # noqa: E402
 from repro.kernels import build_kernel  # noqa: E402
 from repro.machines import simulate, simulate_objects  # noqa: E402
 from repro.machines.batch import BatchLane, simulate_batch  # noqa: E402
+from repro.machines.engine import _simulate_events  # noqa: E402
 from repro.partition import Unit  # noqa: E402
 from repro.workloads import FAMILIES  # noqa: E402
 
@@ -55,16 +55,8 @@ COMPARED_FIELDS = (
 )
 
 
-def _forced(choice: str, compiled, configs, memory):
-    previous = os.environ.get("REPRO_EVENT_ENGINE")
-    os.environ["REPRO_EVENT_ENGINE"] = choice
-    try:
-        return simulate(compiled, configs, memory, collect_issue_times=True)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_EVENT_ENGINE"]
-        else:
-            os.environ["REPRO_EVENT_ENGINE"] = previous
+def _shipped(compiled, configs, memory):
+    return simulate(compiled, configs, memory, collect_issue_times=True)
 
 
 def diff_fields(reference, candidate) -> list[str]:
@@ -92,20 +84,25 @@ def run_case(program_name: str, scale: int, md: int,
             configs = {Unit.SINGLE: UnitConfig(window=32, width=9)}
         for label, spec in HIERARCHY_MEMORY_VARIANTS:
             case = f"{program_name} x {machine_name} x {label}"
-            events = _forced("events", compiled, configs, spec.build(md))
-            soa = _forced("soa", compiled, configs, spec.build(md))
+            shipped = _shipped(compiled, configs, spec.build(md))
+            events = _simulate_events(
+                compiled.lowered(), compiled, configs, spec.build(md),
+                DEFAULT_LATENCIES, collect_issue_times=True, max_cycles=None,
+            )
             legacy = simulate_objects(compiled, configs, spec.build(md),
                                       collect_issue_times=True)
-            for engine_name, candidate in (("soa", soa), ("objects", legacy)):
-                fields = diff_fields(events, candidate)
+            for engine_name, candidate in (
+                ("events", events), ("objects", legacy)
+            ):
+                fields = diff_fields(shipped, candidate)
                 if fields:
                     failures.append(
-                        f"{case}: events vs {engine_name} differ on "
+                        f"{case}: shipped vs {engine_name} differ on "
                         f"{', '.join(fields)}"
                     )
             # Batch column: a two-lane batch at two differentials,
             # each lane held to the matching scalar reference (lane 1
-            # gets its own soa run at the shifted differential).
+            # gets its own shipped run at the shifted differential).
             alt = md + 17
             batch = simulate_batch(
                 compiled,
@@ -115,8 +112,8 @@ def run_case(program_name: str, scale: int, md: int,
                 ],
                 collect_issue_times=True,
             )
-            soa_alt = _forced("soa", compiled, configs, spec.build(alt))
-            for lane_index, reference in ((0, events), (1, soa_alt)):
+            shipped_alt = _shipped(compiled, configs, spec.build(alt))
+            for lane_index, reference in ((0, shipped), (1, shipped_alt)):
                 fields = diff_fields(reference, batch[lane_index])
                 if fields:
                     failures.append(
@@ -124,7 +121,7 @@ def run_case(program_name: str, scale: int, md: int,
                         f"its scalar reference on {', '.join(fields)}"
                     )
             if verbose and not failures:
-                print(f"  ok {case}: {events.cycles} cycles")
+                print(f"  ok {case}: {shipped.cycles} cycles")
     return failures
 
 
