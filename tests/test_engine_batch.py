@@ -9,7 +9,8 @@ must leave disk-cache keys and payloads untouched. The suite checks:
 * lane-for-lane parity against ``simulate`` on every declarative
   memory kind and both machine models (stateful kinds exercise the
   per-lane fallback path);
-* the same parity with the ``REPRO_PERIOD_SKIP`` toggle on and off;
+* the same parity with the ``REPRO_PERIOD_SKIP`` toggle on and off,
+  and with a leftover ``REPRO_EVENT_ENGINE`` that must change nothing;
 * Session runs with ``batch=True`` vs ``batch=False``: identical
   results, identical cache file names, byte-identical payloads,
   serial and ``jobs=4``;
@@ -206,9 +207,17 @@ class TestLaneParity:
             assert lane_mem.queries == ref_mem.queries
 
     @pytest.mark.parametrize("period_skip", ("1", "0"))
-    def test_parity_under_engine_toggles(self, monkeypatch, period_skip):
-        """The skip toggle changes strategy, never the schedule."""
+    @pytest.mark.parametrize("event_engine", ("0", "1"))
+    def test_parity_under_engine_toggles(
+        self, monkeypatch, period_skip, event_engine
+    ):
+        """The skip toggle changes strategy, never the schedule.
+
+        ``REPRO_EVENT_ENGINE`` no longer exists; a leftover value in the
+        environment must change nothing either.
+        """
         monkeypatch.setenv("REPRO_PERIOD_SKIP", period_skip)
+        monkeypatch.setenv("REPRO_EVENT_ENGINE", event_engine)
         compiled = compiled_for("flo52q", "dm")
         grid = [(8, 60), (64, 0), (64, 60)]
         lanes = [
