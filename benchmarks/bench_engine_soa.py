@@ -1,14 +1,15 @@
-"""Old-vs-new engine throughput across the scale tiers.
+"""Struct-of-arrays engine throughput across the scale tiers.
 
-Times the struct-of-arrays engine (``repro.machines.engine``) against
-the preserved pre-SoA object engine
-(``repro.machines.engine_objects``) on FLO52Q at the ``small``,
-``paper`` and ``huge`` tiers — under the paper's fixed-differential
-memory *and* under every stateful memory model (bypass buffer, cache
-hierarchy, banked memory, stream prefetcher) — asserts the engines
-produce identical schedules, and records every row in
-``BENCH_engine.json``. The stateful tiers track how far the old
-per-access fallback gap has closed: bypass-style models ride the
+Times the shipped engine (``repro.machines.engine.simulate``) on
+FLO52Q at the ``small``, ``paper`` and ``huge`` tiers — under the
+paper's fixed-differential memory *and* under every stateful memory
+model (bypass buffer, cache hierarchy, banked memory, stream
+prefetcher) — and records every row in ``BENCH_engine.json``. Each
+tier first asserts cycle parity of the shipped route against the
+probing loop (``_simulate_probing``), which has no steady-state skip
+and no speculation, so those accelerators are cross-checked at every
+tier, ``paper`` and ``huge`` included. The stateful tiers track how
+the accelerated routes perform: bypass-style models ride the
 speculative schedule fixed point (docs/timing.md), the rest the
 chunked issue-order path.
 
@@ -37,7 +38,7 @@ from repro.api.presets import HIERARCHY_MEMORY_VARIANTS
 from repro.config import DEFAULT_LATENCIES, UnitConfig
 from repro.experiments.scales import PRESETS
 from repro.kernels import build_kernel
-from repro.machines import simulate, simulate_objects
+from repro.machines import simulate
 from repro.machines.engine import _simulate_events, _simulate_probing
 from repro.memory import BankedMemory, FixedLatencyMemory
 from repro.partition import Unit
@@ -87,8 +88,16 @@ def _best_of(rounds: int, run) -> float:
     return best
 
 
+def _probing(compiled, configs, memory):
+    """The probing loop, probes off: no skip layer, no speculation."""
+    return _simulate_probing(
+        compiled.lowered(), compiled, configs, memory, DEFAULT_LATENCIES,
+        False, False, False, None,
+    )
+
+
 def measure_scale(scale_name: str, rounds: int = 3) -> list[dict]:
-    """Old-vs-new rows for DM and SWSM at one scale tier."""
+    """Shipped-engine rows for DM and SWSM at one scale tier."""
     program = build_kernel("flo52q", PRESETS[scale_name].scale)
     dm = DecoupledMachine(DMConfig.symmetric(WINDOW))
     swsm = SuperscalarMachine(SWSMConfig(window=WINDOW))
@@ -115,41 +124,28 @@ def measure_scale(scale_name: str, rounds: int = 3) -> list[dict]:
     rows = []
     for machine_name, compiled, configs, run_new in variants:
         new_result = run_new(compiled)  # warm the lowering cache
-        old_result = simulate_objects(compiled, configs, memory)
-        assert new_result.cycles == old_result.cycles, (
-            f"engines disagree on {machine_name}@{scale_name}: "
-            f"{new_result.cycles} vs {old_result.cycles}"
+        reference = _probing(compiled, configs, memory)
+        assert new_result.cycles == reference.cycles, (
+            f"shipped route disagrees with the probing loop on "
+            f"{machine_name}@{scale_name}: "
+            f"{new_result.cycles} vs {reference.cycles}"
         )
         instructions = compiled.num_instructions
         new_seconds = _best_of(rounds, lambda: run_new(compiled))
-        old_seconds = _best_of(
-            max(1, rounds - 1),
-            lambda: simulate_objects(compiled, configs, memory),
-        )
-        base = {
+        rows.append({
             "scale": scale_name,
             "machine": machine_name,
             "instructions": instructions,
             "cycles": new_result.cycles,
-        }
-        rows.append({
-            **base,
-            "engine": "objects",
-            "seconds": round(old_seconds, 6),
-            "ips": round(instructions / old_seconds),
-        })
-        rows.append({
-            **base,
             "engine": "soa",
             "seconds": round(new_seconds, 6),
             "ips": round(instructions / new_seconds),
-            "speedup_vs_objects": round(old_seconds / new_seconds, 2),
         })
     return rows
 
 
 def measure_stateful(scale_name: str, rounds: int = 3) -> list[dict]:
-    """Old-vs-new rows for the DM under every stateful memory model."""
+    """Shipped-engine rows for the DM under every stateful memory model."""
     program = build_kernel("flo52q", PRESETS[scale_name].scale)
     dm = DecoupledMachine(DMConfig.symmetric(WINDOW))
     compiled = dm.compile(program)
@@ -159,37 +155,24 @@ def measure_stateful(scale_name: str, rounds: int = 3) -> list[dict]:
     rows = []
     for label, make_memory in STATEFUL_MODELS:
         new_result = simulate(compiled, configs, make_memory())
-        old_result = simulate_objects(compiled, configs, make_memory())
-        assert new_result.cycles == old_result.cycles, (
-            f"engines disagree on dm+{label}@{scale_name}: "
-            f"{new_result.cycles} vs {old_result.cycles}"
+        reference = _probing(compiled, configs, make_memory())
+        assert new_result.cycles == reference.cycles, (
+            f"shipped route disagrees with the probing loop on "
+            f"dm+{label}@{scale_name}: "
+            f"{new_result.cycles} vs {reference.cycles}"
         )
         new_seconds = _best_of(
             rounds, lambda: simulate(compiled, configs, make_memory())
         )
-        old_seconds = _best_of(
-            max(1, rounds - 1),
-            lambda: simulate_objects(compiled, configs, make_memory()),
-        )
-        base = {
+        rows.append({
             "scale": scale_name,
             "machine": f"dm+{label}",
             "memory": make_memory().describe(),
             "instructions": instructions,
             "cycles": new_result.cycles,
-        }
-        rows.append({
-            **base,
-            "engine": "objects",
-            "seconds": round(old_seconds, 6),
-            "ips": round(instructions / old_seconds),
-        })
-        rows.append({
-            **base,
             "engine": "soa",
             "seconds": round(new_seconds, 6),
             "ips": round(instructions / new_seconds),
-            "speedup_vs_objects": round(old_seconds / new_seconds, 2),
         })
     return rows
 
@@ -220,14 +203,8 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
                 False, None,
             )
 
-        def run_probing(memory):
-            return _simulate_probing(
-                low, compiled, configs, memory, DEFAULT_LATENCIES,
-                False, False, False, None,
-            )
-
         event_result = run_events(make_memory())
-        probing_result = run_probing(make_memory())
+        probing_result = _probing(compiled, configs, make_memory())
         assert event_result.cycles == probing_result.cycles, (
             f"engines disagree on dm+{label}@{scale_name}: "
             f"{event_result.cycles} vs {probing_result.cycles}"
@@ -238,7 +215,7 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
             run_events(make_memory())
             event_seconds = min(event_seconds, time.perf_counter() - start)
             start = time.perf_counter()
-            run_probing(make_memory())
+            _probing(compiled, configs, make_memory())
             probing_seconds = min(
                 probing_seconds, time.perf_counter() - start
             )
@@ -278,12 +255,10 @@ def test_soa_engine_matches_and_records(preset):
     rows.extend(measure_stateful(scale_name, rounds=2))
     record_engine_rows(rows)
     for row in rows:
-        if row["engine"] == "soa":
-            print(
-                f"\n{row['machine']}@{row['scale']}: "
-                f"{row['ips'] / 1e6:.2f}M inst/s, "
-                f"{row['speedup_vs_objects']:.1f}x over the object engine"
-            )
+        print(
+            f"\n{row['machine']}@{row['scale']}: "
+            f"{row['ips'] / 1e6:.2f}M inst/s"
+        )
 
 
 def test_event_engine_tiers_recorded(preset):
@@ -309,16 +284,13 @@ def main() -> None:
     for scale_name in EVENT_SCALES:
         all_rows.extend(measure_events(scale_name))
     record_engine_rows(all_rows)
-    print(f"{'scale':8} {'machine':12} {'old ips':>12} {'new ips':>12} "
-          f"{'speedup':>8}")
+    print(f"{'scale':8} {'machine':12} {'soa ips':>12}")
     by_key = {(r["scale"], r["machine"], r["engine"]): r for r in all_rows}
     machines = ["dm", "swsm"] + [f"dm+{label}" for label, _ in STATEFUL_MODELS]
     for scale_name in SCALES:
         for machine_name in machines:
-            old = by_key[(scale_name, machine_name, "objects")]
-            new = by_key[(scale_name, machine_name, "soa")]
-            print(f"{scale_name:8} {machine_name:12} {old['ips']:>12,} "
-                  f"{new['ips']:>12,} {new['speedup_vs_objects']:>7.1f}x")
+            row = by_key[(scale_name, machine_name, "soa")]
+            print(f"{scale_name:8} {machine_name:12} {row['ips']:>12,}")
     print(f"\n{'scale':8} {'machine':14} {'probing ips':>12} "
           f"{'events ips':>12} {'speedup':>8}")
     for scale_name in EVENT_SCALES:

@@ -44,8 +44,9 @@ _HEADER = {
     "memory_differential": 60,
     "engines": {
         "soa": "struct-of-arrays engine (repro.machines.engine.simulate)",
-        "objects": "pre-SoA object engine "
-                   "(repro.machines.engine_objects.simulate_objects)",
+        "objects": "historical: the pre-SoA object engine, since "
+                   "deleted; its rows are frozen history, no longer "
+                   "measured",
         "events": "event-heap scheduler, driven directly "
                   "(repro.machines.engine._simulate_events; "
                   "docs/timing.md, 'Event scheduling')",

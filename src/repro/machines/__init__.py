@@ -1,10 +1,9 @@
-"""Machine models: the DM, the SWSM, the serial reference, the engine
-(struct-of-arrays core plus the preserved object-walking baseline), and
-the registry that makes new machines pluggable."""
+"""Machine models: the DM, the SWSM, the serial reference, the
+struct-of-arrays engine, the naive cycle-by-cycle oracle it is tested
+against, and the registry that makes new machines pluggable."""
 
 from .dm import DecoupledMachine
 from .engine import SimulationResult, UnitStats, simulate
-from .engine_objects import simulate_objects
 from .lowered import LoweredProgram, lower_program
 from .reference import simulate_naive
 from .registry import (
@@ -31,5 +30,4 @@ __all__ = [
     "register_machine",
     "simulate",
     "simulate_naive",
-    "simulate_objects",
 ]

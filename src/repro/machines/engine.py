@@ -47,10 +47,10 @@ in :data:`LAST_STRATEGY` for tests and benchmarks.
 
 A separate probing loop carries the buffer/ESW probes; it uses the
 same chunked queries. All loops are event-driven — idle cycles are
-skipped — and cycle-exact: schedules are identical to the naive
-cycle-by-cycle reference (:mod:`repro.machines.reference`) and to the
-pre-SoA engine (:mod:`repro.machines.engine_objects`), a property the
-test-suite checks kernel by kernel and model by model.
+skipped — and cycle-exact: whole results (cycles, unit statistics,
+issue times, probes) are identical to the naive cycle-by-cycle oracle
+(:mod:`repro.machines.reference`), a property the test-suite checks
+kernel by kernel and model by model.
 """
 
 from __future__ import annotations

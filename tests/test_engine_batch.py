@@ -323,11 +323,19 @@ class TestSessionParity:
 
     def test_evaluate_batch_handles_singletons(self):
         # The planner only batches groups of two or more; a one-lane
-        # group through evaluate_batch must still match evaluate.
+        # group through evaluate_batch enters simulate_batch, which
+        # never vectorizes fewer than two lanes: the lane takes the
+        # counted scalar fallback and must still match evaluate.
         point = Point(program="trfd", machine="dm", window=16,
                       memory_differential=60)
         session = Session(scale=TINY)
+        before = dict(engine.PERF_COUNTERS)
         [(got_point, got)] = session.evaluate_batch([point])
+        assert got.telemetry.strategy == "uniform-table"
+        assert got.telemetry.counters["batch_fallback_lanes"] == 1
+        assert engine.PERF_COUNTERS["batch_fallback_lanes"] \
+            - before["batch_fallback_lanes"] == 1
+        assert engine.PERF_COUNTERS["batch_lanes"] == before["batch_lanes"]
         assert got_point == point
         assert got == Session(scale=TINY).evaluate(point)
 

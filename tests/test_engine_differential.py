@@ -13,6 +13,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine_soa import assert_same_schedule
+
 from repro import KernelBuilder, Program, Unit, UnitConfig
 from repro.machines import simulate, simulate_naive
 from repro.memory import FixedLatencyMemory
@@ -73,14 +75,11 @@ def test_dm_engine_matches_naive_reference(seed, window, md):
     program = random_program(seed)
     compiled = partition_dm(program)
     configs = dm_configs(window)
-    naive_cycles, naive_issue = simulate_naive(
-        compiled, configs, FixedLatencyMemory(md)
-    )
+    naive = simulate_naive(compiled, configs, FixedLatencyMemory(md))
     result = simulate(
         compiled, configs, FixedLatencyMemory(md), collect_issue_times=True
     )
-    assert result.cycles == naive_cycles
-    assert result.issue_times == naive_issue
+    assert_same_schedule(result, naive)
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,14 +92,11 @@ def test_swsm_engine_matches_naive_reference(seed, window, md):
     program = random_program(seed)
     compiled = lower_swsm(program)
     configs = swsm_configs(window)
-    naive_cycles, naive_issue = simulate_naive(
-        compiled, configs, FixedLatencyMemory(md)
-    )
+    naive = simulate_naive(compiled, configs, FixedLatencyMemory(md))
     result = simulate(
         compiled, configs, FixedLatencyMemory(md), collect_issue_times=True
     )
-    assert result.cycles == naive_cycles
-    assert result.issue_times == naive_issue
+    assert_same_schedule(result, naive)
 
 
 def _check_schedule_invariants(compiled, configs, md: int) -> None:

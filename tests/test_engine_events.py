@@ -2,8 +2,8 @@
 
 The event engine (``_simulate_events`` in :mod:`repro.machines.engine`)
 must produce the exact schedule of the SoA cycle loops and of the
-legacy object engine — across both machines (DM, SWSM), every memory
-model kind the hierarchy scenario space ships
+naive cycle-by-cycle oracle — across both machines (DM, SWSM), every
+memory model kind the hierarchy scenario space ships
 (fixed/bypass/cache/hierarchy/banked/prefetch), probes on and off, and
 ``REPRO_PERIOD_SKIP`` on and off. Shipped routing sends time-sensitive
 models to the heap; the suite checks that routing, drives the heap
@@ -36,7 +36,7 @@ from repro.api import MemorySpec, Point, Session
 from repro.api.presets import HIERARCHY_MEMORY_VARIANTS
 from repro.config import DEFAULT_LATENCIES
 from repro.kernels import build_kernel
-from repro.machines import engine, simulate, simulate_objects
+from repro.machines import engine, simulate, simulate_naive
 from repro.machines.engine import _simulate_events, _simulate_fast
 from repro.memory import BankedMemory, FixedLatencyMemory
 
@@ -60,7 +60,7 @@ def run_events(compiled, configs, memory, trace=None):
 
 
 class TestEventEngineParity:
-    """Event heap vs shipped routing vs the legacy object engine."""
+    """Event heap vs shipped routing vs the naive oracle."""
 
     @pytest.mark.parametrize("label", MEMORY_KINDS)
     def test_every_memory_kind_both_machines(self, label):
@@ -69,10 +69,9 @@ class TestEventEngineParity:
             shipped = simulate(compiled, configs, build_memory(label),
                                collect_issue_times=True)
             events = run_events(compiled, configs, build_memory(label))
-            legacy = simulate_objects(compiled, configs, build_memory(label),
-                                      collect_issue_times=True)
-            assert_same_schedule(shipped, legacy)
-            assert_same_schedule(events, legacy)
+            naive = simulate_naive(compiled, configs, build_memory(label))
+            assert_same_schedule(shipped, naive)
+            assert_same_schedule(events, naive)
 
     @pytest.mark.parametrize("label", [l for l, _ in stateful_model_zoo()])
     def test_stateful_zoo_configurations(self, label):
@@ -81,10 +80,9 @@ class TestEventEngineParity:
         make_memory = dict(stateful_model_zoo())[label]
         for compiled, make_configs in compiled_variants("trfd", SMALL):
             events = run_events(compiled, make_configs(32), make_memory())
-            legacy = simulate_objects(compiled, make_configs(32),
-                                      make_memory(),
-                                      collect_issue_times=True)
-            assert_same_schedule(events, legacy)
+            naive = simulate_naive(compiled, make_configs(32),
+                                   make_memory())
+            assert_same_schedule(events, naive)
 
     def test_stateful_stats_identical(self):
         # The event engine feeds a stateful model the same chunk
@@ -112,10 +110,9 @@ class TestEventEngineParity:
                 compiled = compile_fn(program)
                 events = run_events(compiled, make_configs(16),
                                     FixedLatencyMemory(MD))
-                legacy = simulate_objects(compiled, make_configs(16),
-                                          FixedLatencyMemory(MD),
-                                          collect_issue_times=True)
-                assert_same_schedule(events, legacy)
+                naive = simulate_naive(compiled, make_configs(16),
+                                       FixedLatencyMemory(MD))
+                assert_same_schedule(events, naive)
 
     def test_period_skip_toggle_is_invisible(self, monkeypatch):
         # The event engine has no skip layer, so REPRO_PERIOD_SKIP must
@@ -137,18 +134,17 @@ class TestEventEngineParity:
     def test_probes_route_past_the_event_engine(self):
         # Probing runs keep their dedicated loop, even on time-sensitive
         # models routing would otherwise send to the heap; results must
-        # match the legacy engine bit for bit.
+        # match the naive oracle bit for bit.
         compiled = DecoupledMachine.compile(build_kernel("mdg", TINY))
         for label in ("fixed", "banked", "prefetch"):
             probed = simulate(compiled, dm_configs(32), build_memory(label),
                               probe_buffers=True, probe_esw=True,
                               collect_issue_times=True)
             assert engine.LAST_STRATEGY == "probing"
-            legacy = simulate_objects(compiled, dm_configs(32),
-                                      build_memory(label),
-                                      probe_buffers=True, probe_esw=True,
-                                      collect_issue_times=True)
-            assert_same_schedule(probed, legacy)
+            naive = simulate_naive(compiled, dm_configs(32),
+                                   build_memory(label),
+                                   probe_buffers=True, probe_esw=True)
+            assert_same_schedule(probed, naive)
             assert probed.buffer_occupancy is not None
 
 

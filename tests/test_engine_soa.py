@@ -1,18 +1,19 @@
 """Parity suite for the struct-of-arrays engine.
 
-Three implementations of the docs/timing.md semantics must agree
-instruction for instruction:
+Two independent implementations of the docs/timing.md semantics must
+agree on the whole result, instruction for instruction:
 
 * ``simulate`` — the SoA engine (fast loop, steady-state accelerator,
-  and the general probing loop);
-* ``simulate_objects`` — the pre-SoA object-walking engine, preserved
-  verbatim;
-* ``simulate_naive`` — the cycle-by-cycle reference.
+  speculative fixed point, event heap and the probing loop);
+* ``simulate_naive`` — the cycle-by-cycle oracle, which shares no
+  lowering, batching or event skipping with the engine.
 
 The suite compares whole kernels at ``tiny`` and ``small`` scale on
 both machine models, random loop-nest programs (which exercise the
 steady-state skip on arbitrary structures), and the probing /
-stateful-memory paths.
+stateful-memory paths. Test names ending in ``object_engine`` keep
+the ids they had when the reference was the retired pre-SoA object
+engine; they compare against the naive oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro import (
 )
 from repro.experiments.scales import PRESETS
 from repro.kernels import PAPER_ORDER, build_kernel
-from repro.machines import simulate, simulate_naive, simulate_objects
+from repro.machines import simulate, simulate_naive
 from repro.machines.engine import PERF_COUNTERS
 from repro.memory import (
     CAP_STATELESS,
@@ -67,7 +68,7 @@ def compiled_variants(name: str, scale: int):
 
 
 def assert_same_schedule(new, old) -> None:
-    """Full-result equality between the SoA and legacy engines."""
+    """Full-result equality between two runs (engine or oracle)."""
     assert new.cycles == old.cycles
     assert new.instructions == old.instructions
     assert new.unit_stats == old.unit_stats
@@ -85,17 +86,16 @@ class TestKernelParity:
         for compiled, make_configs in compiled_variants(name, TINY):
             configs = make_configs(16)
             for md in (0, 60):
-                naive_cycles, naive_issue = simulate_naive(
-                    compiled, configs, FixedLatencyMemory(md)
-                )
                 result = simulate(
                     compiled,
                     configs,
                     FixedLatencyMemory(md),
                     collect_issue_times=True,
                 )
-                assert result.cycles == naive_cycles
-                assert result.issue_times == naive_issue
+                naive = simulate_naive(
+                    compiled, configs, FixedLatencyMemory(md)
+                )
+                assert_same_schedule(result, naive)
 
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_small_vs_object_engine(self, name):
@@ -109,13 +109,10 @@ class TestKernelParity:
                         FixedLatencyMemory(md),
                         collect_issue_times=True,
                     )
-                    old = simulate_objects(
-                        compiled,
-                        configs,
-                        FixedLatencyMemory(md),
-                        collect_issue_times=True,
+                    naive = simulate_naive(
+                        compiled, configs, FixedLatencyMemory(md)
                     )
-                    assert_same_schedule(new, old)
+                    assert_same_schedule(new, naive)
 
 
 def loop_nest_program(seed: int, body: int, iterations: int):
@@ -174,10 +171,9 @@ class TestSteadyStateAccelerator:
         new = simulate(compiled, dm_configs(32), FixedLatencyMemory(60),
                        collect_issue_times=True)
         assert PERF_COUNTERS["steady_skips"] == before + 1
-        old = simulate_objects(compiled, dm_configs(32),
-                               FixedLatencyMemory(60),
-                               collect_issue_times=True)
-        assert_same_schedule(new, old)
+        naive = simulate_naive(compiled, dm_configs(32),
+                               FixedLatencyMemory(60))
+        assert_same_schedule(new, naive)
 
     def test_env_toggle_disables_skip(self, monkeypatch):
         compiled = DecoupledMachine.compile(build_kernel("trfd", SMALL))
@@ -224,9 +220,8 @@ class TestSteadyStateAccelerator:
             configs = make_configs(window)
             new = simulate(compiled, configs, FixedLatencyMemory(md),
                            collect_issue_times=True)
-            old = simulate_objects(compiled, configs, FixedLatencyMemory(md),
-                                   collect_issue_times=True)
-            assert_same_schedule(new, old)
+            naive = simulate_naive(compiled, configs, FixedLatencyMemory(md))
+            assert_same_schedule(new, naive)
 
 
 def stateful_model_zoo():
@@ -242,8 +237,8 @@ def stateful_model_zoo():
 
 
 class TestStatefulMemoryParity:
-    """Every stateful model, every machine: bit-identical to the legacy
-    engine. At ``small`` scale the kernels are large enough that the
+    """Every stateful model, every machine: bit-identical to the naive
+    oracle. At ``small`` scale the kernels are large enough that the
     speculative fixed point (bypass/cache/prefetch) and the chunked
     live path (banked) are both exercised."""
 
@@ -256,9 +251,8 @@ class TestStatefulMemoryParity:
         for compiled, make_configs in compiled_variants(name, SMALL):
             new = simulate(compiled, make_configs(32), make_memory(),
                            collect_issue_times=True)
-            old = simulate_objects(compiled, make_configs(32), make_memory(),
-                                   collect_issue_times=True)
-            assert_same_schedule(new, old)
+            naive = simulate_naive(compiled, make_configs(32), make_memory())
+            assert_same_schedule(new, naive)
 
     def test_stateful_runs_are_deterministic(self):
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
@@ -332,14 +326,13 @@ class TestStatelessCapability:
                 new = simulate(compiled, make_configs(32),
                                ParityCheckedMemory(),
                                collect_issue_times=True)
-                old = simulate_objects(compiled, make_configs(32),
-                                       ParityCheckedMemory(),
-                                       collect_issue_times=True)
-                assert_same_schedule(new, old)
+                naive = simulate_naive(compiled, make_configs(32),
+                                       ParityCheckedMemory())
+                assert_same_schedule(new, naive)
 
 
 class TestGeneralLoopParity:
-    """The probing path must match the legacy engine too."""
+    """The probing path must match the naive oracle too."""
 
     def test_probe_buffers_and_esw(self):
         compiled = DecoupledMachine.compile(build_kernel("mdg", TINY))
@@ -347,11 +340,10 @@ class TestGeneralLoopParity:
             new = simulate(compiled, dm_configs(32), FixedLatencyMemory(md),
                            probe_buffers=True, probe_esw=True,
                            collect_issue_times=True)
-            old = simulate_objects(compiled, dm_configs(32),
+            naive = simulate_naive(compiled, dm_configs(32),
                                    FixedLatencyMemory(md),
-                                   probe_buffers=True, probe_esw=True,
-                                   collect_issue_times=True)
-            assert_same_schedule(new, old)
+                                   probe_buffers=True, probe_esw=True)
+            assert_same_schedule(new, naive)
             assert new.buffer_occupancy is not None
 
     def test_stateful_memory_models(self):
@@ -362,9 +354,8 @@ class TestGeneralLoopParity:
         ):
             new = simulate(compiled, swsm_configs(32), make_memory(),
                            collect_issue_times=True)
-            old = simulate_objects(compiled, swsm_configs(32), make_memory(),
-                                   collect_issue_times=True)
-            assert_same_schedule(new, old)
+            naive = simulate_naive(compiled, swsm_configs(32), make_memory())
+            assert_same_schedule(new, naive)
 
     def test_probes_with_stateful_memory(self):
         # Probes force the batched probing loop even for stateful
@@ -374,10 +365,9 @@ class TestGeneralLoopParity:
             new = simulate(compiled, dm_configs(32), make_memory(),
                            probe_buffers=True, probe_esw=True,
                            collect_issue_times=True)
-            old = simulate_objects(compiled, dm_configs(32), make_memory(),
-                                   probe_buffers=True, probe_esw=True,
-                                   collect_issue_times=True)
-            assert_same_schedule(new, old)
+            naive = simulate_naive(compiled, dm_configs(32), make_memory(),
+                                   probe_buffers=True, probe_esw=True)
+            assert_same_schedule(new, naive)
             assert new.buffer_occupancy is not None
 
     def test_uniform_memory_contract(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro import DecoupledMachine, SuperscalarMachine, Unit, UnitConfig
 from repro.config import DEFAULT_LATENCIES
 from repro.kernels import PAPER_ORDER, build_kernel
-from repro.machines import simulate
+from repro.machines import simulate, simulate_naive
 from repro.machines.engine import _simulate_events
 from repro.memory import BankedMemory, FixedLatencyMemory, StreamPrefetcher
 from repro.metrics import find_equivalent_window
@@ -179,21 +179,22 @@ class TestEventHeapProperties:
     @given(
         family=st.sampled_from(FAMILIES),
         seed=st.integers(0, 10_000),
-        machine=st.sampled_from(sorted(_MACHINES)),
-        kind=st.sampled_from(sorted(_MEMORY_FACTORIES)),
     )
-    def test_result_invariant_under_engine_toggle(self, family, seed,
-                                                  machine, kind):
-        compile_fn, configs = _MACHINES[machine]
-        compiled = compile_fn(build_kernel(f"gen:{family}:{seed}",
-                                           _GEN_SCALE))
-        # The heap, driven directly, agrees with whichever loop the
-        # shipped routing picks for this memory model.
-        make_memory = _MEMORY_FACTORIES[kind]
-        events = _simulate_events(
-            compiled.lowered(), compiled, configs, make_memory(),
-            DEFAULT_LATENCIES, collect_issue_times=True, max_cycles=None,
-        )
-        shipped = simulate(compiled, configs, make_memory(),
-                           collect_issue_times=True)
-        assert events == shipped
+    def test_heap_matches_reference(self, family, seed):
+        # The heap driven directly and whichever loop the shipped
+        # routing picks must both equal the naive oracle, for every
+        # memory kind on both machines.
+        program = build_kernel(f"gen:{family}:{seed}", _GEN_SCALE)
+        for compile_fn, configs in _MACHINES.values():
+            compiled = compile_fn(program)
+            for make_memory in _MEMORY_FACTORIES.values():
+                naive = simulate_naive(compiled, configs, make_memory())
+                events = _simulate_events(
+                    compiled.lowered(), compiled, configs, make_memory(),
+                    DEFAULT_LATENCIES, collect_issue_times=True,
+                    max_cycles=None,
+                )
+                shipped = simulate(compiled, configs, make_memory(),
+                                   collect_issue_times=True)
+                assert events == naive
+                assert shipped == naive

@@ -233,13 +233,16 @@ class TestNoSharedState:
     def test_sessions_get_independent_latency_instances(self):
         assert Session().latencies is not Session().latencies
 
-    def test_no_run_path_writes_the_environment(self, monkeypatch):
+    def test_no_run_path_writes_the_environment(self, monkeypatch,
+                                                 tmp_path):
         # Engine routing comes from each point alone: evaluating or
         # sweeping from several threads — batched, per-point or through
         # a process pool — never writes the shared process environment,
         # and the only REPRO_* variables read are the documented ones.
-        environ = _RecordingEnviron(os.environ)
-        monkeypatch.setattr(os, "environ", environ)
+        # Forked pool workers inherit the recording stand-in, and every
+        # process appends to one shared log, so worker accesses count.
+        log = tmp_path / "environ.log"
+        monkeypatch.setattr(os, "environ", _RecordingEnviron(os.environ, log))
         points = [
             Point(program="trfd", machine=machine, window=window,
                   memory=MemorySpec(kind=kind), memory_differential=60)
@@ -258,8 +261,11 @@ class TestNoSharedState:
                                  timeout=300))
         assert done == [len(points)] * 4
         assert len(Session(scale=SCALE).run(points, jobs=2)) == len(points)
-        assert environ.writes == []
-        assert {key for key in environ.reads if key.startswith("REPRO_")} \
+        entries = [line.split("\t") for line in log.read_text().splitlines()]
+        assert {int(pid) for pid, _, _ in entries} - {os.getpid()}, \
+            "no pool worker reached the recording environment"
+        assert [entry for entry in entries if entry[1] != "read"] == []
+        assert {key for _, _, key in entries} \
             <= {"REPRO_PERIOD_SKIP", "REPRO_TRACE", "REPRO_SCALE"}
 
     def test_registered_programs_do_not_leak_across_sessions(self):
@@ -273,23 +279,29 @@ class TestNoSharedState:
 
 
 class _RecordingEnviron(MutableMapping):
-    """A process-environment stand-in that records reads and writes."""
+    """A process-environment stand-in that logs every write and every
+    ``REPRO_*`` read, one ``pid<TAB>action<TAB>key`` line each, to an
+    append-only file shared with forked children."""
 
-    def __init__(self, initial) -> None:
+    def __init__(self, initial, log) -> None:
         self._data = dict(initial)
-        self.reads: set[str] = set()
-        self.writes: list[tuple[str, str]] = []
+        self._log = log
+
+    def _record(self, action: str, key: str) -> None:
+        with open(self._log, "a") as handle:
+            handle.write(f"{os.getpid()}\t{action}\t{key}\n")
 
     def __getitem__(self, key):
-        self.reads.add(key)
+        if key.startswith("REPRO_"):
+            self._record("read", key)
         return self._data[key]
 
     def __setitem__(self, key, value) -> None:
-        self.writes.append(("set", key))
+        self._record("set", key)
         self._data[key] = value
 
     def __delitem__(self, key) -> None:
-        self.writes.append(("del", key))
+        self._record("del", key)
         del self._data[key]
 
     def __iter__(self):

@@ -36,7 +36,7 @@ SCALE = 1_500
 #: Every strategy label an engine run may report.
 KNOWN_STRATEGIES = {
     "uniform-table", "stateless-table", "speculative", "chunked",
-    "events-chunked", "probing", "batch", "objects", "serial", "cached",
+    "events-chunked", "probing", "batch", "serial", "cached",
 }
 
 

@@ -1,15 +1,17 @@
-"""Differential fuzzer for the four scheduling engines.
+"""Differential fuzzer: three scheduling engines against the naive oracle.
 
 Crosses a corpus of generated kernels (``gen:<family>:<seed>`` names)
 plus two paper kernels with both machines (DM, SWSM) and every memory
 model kind in the hierarchy scenario space, then runs each case
 through four columns — shipped ``simulate`` routing (``shipped``), the
-event-heap scheduler driven directly (``events``), the legacy object
-engine, and the batched sweep engine (``repro.machines.batch``, run as
-a two-lane batch at two memory differentials and compared lane by
+event-heap scheduler driven directly (``events``), the naive
+cycle-by-cycle oracle (``naive``, :mod:`repro.machines.reference`),
+and the batched sweep engine (``repro.machines.batch``, run as a
+two-lane batch at two memory differentials and compared lane by
 lane) — and diffs the results field by field. Any divergence is a bug
 in one of the engines; the tool prints the first mismatching field per
-case and exits non-zero.
+case and exits non-zero. The oracle steps every cycle, so keep the
+scale small.
 
 Usage (CI runs it at tiny scale, mirroring tools/service_smoke.py):
 
@@ -32,7 +34,7 @@ from repro.api.presets import HIERARCHY_MEMORY_VARIANTS  # noqa: E402
 from repro.config import DEFAULT_LATENCIES, UnitConfig  # noqa: E402
 from repro.experiments import active_preset  # noqa: E402
 from repro.kernels import build_kernel  # noqa: E402
-from repro.machines import simulate, simulate_objects  # noqa: E402
+from repro.machines import simulate, simulate_naive  # noqa: E402
 from repro.machines.batch import BatchLane, simulate_batch  # noqa: E402
 from repro.machines.engine import _simulate_events  # noqa: E402
 from repro.partition import Unit  # noqa: E402
@@ -89,10 +91,9 @@ def run_case(program_name: str, scale: int, md: int,
                 compiled.lowered(), compiled, configs, spec.build(md),
                 DEFAULT_LATENCIES, collect_issue_times=True, max_cycles=None,
             )
-            legacy = simulate_objects(compiled, configs, spec.build(md),
-                                      collect_issue_times=True)
+            naive = simulate_naive(compiled, configs, spec.build(md))
             for engine_name, candidate in (
-                ("events", events), ("objects", legacy)
+                ("events", events), ("naive", naive)
             ):
                 fields = diff_fields(shipped, candidate)
                 if fields:
@@ -156,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}")
         return 1
     print(
-        f"engine fuzz: OK — {cases} cases (x4 engines) agree on every "
+        f"engine fuzz: OK — {cases} cases (x4 columns) agree on every "
         f"field (scale={preset.name}, md={args.md})"
     )
     return 0
