@@ -41,6 +41,7 @@ from repro.kernels import build_kernel
 from repro.machines import simulate
 from repro.machines.engine import _simulate_events, _simulate_probing
 from repro.memory import BankedMemory, FixedLatencyMemory
+from repro.obs.telemetry import TelemetryCollector
 from repro.partition import Unit
 
 WINDOW = 32
@@ -200,7 +201,7 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
         def run_events(memory):
             return _simulate_events(
                 low, compiled, configs, memory, DEFAULT_LATENCIES,
-                False, None,
+                False, None, TelemetryCollector(),
             )
 
         event_result = run_events(make_memory())

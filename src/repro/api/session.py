@@ -28,7 +28,7 @@ import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import as_completed
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
@@ -40,7 +40,6 @@ from ..ir import Program
 from ..ir.transforms import expand_code
 from ..kernels import build_kernel
 from ..machines import SimulationResult
-from ..machines.engine import record_counters
 from ..machines.registry import get_machine
 from ..obs.telemetry import RunTelemetry, add_counters, zero_counters
 from ..obs.trace import SpanTracer
@@ -127,7 +126,6 @@ class Session:
         self._results: dict[Point, SimulationResult] = {}
         self._result_store = None
         self._store_keys: dict[Point, str] = {}
-        self._disk_prefetched: dict[Point, SimulationResult | None] = {}
         self.stats = {
             "evaluated": 0,
             "memory_hits": 0,
@@ -136,7 +134,6 @@ class Session:
             "store_hits": 0,
             "batch_groups": 0,
             "batch_points": 0,
-            "disk_read_seconds": 0.0,
             "compile_seconds": 0.0,
             "simulate_seconds": 0.0,
             "sweep_seconds": 0.0,
@@ -432,7 +429,6 @@ class Session:
     def _store(self, canonical: Point, result: SimulationResult) -> None:
         self._results[canonical] = result
         self._absorb_telemetry(result)
-        self._disk_prefetched.pop(canonical, None)  # staged copy is stale
         if canonical.program not in self._custom:
             self._disk_store(canonical, result)
 
@@ -458,10 +454,9 @@ class Session:
     def telemetry(self) -> dict:
         """Aggregated telemetry of every fresh simulation this session.
 
-        Returns counter sums (matching this session's contribution to
-        ``repro.machines.engine.PERF_COUNTERS`` exactly, whichever
-        engines and however many worker processes ran), a strategy
-        histogram, and a copy of the cache/timing ``stats``.
+        Returns the sums of the fresh results' telemetry counters
+        (whichever engines and however many worker processes ran), a
+        strategy histogram, and a copy of the cache/timing ``stats``.
         """
         return {
             "runs": self._telemetry["runs"],
@@ -579,7 +574,6 @@ class Session:
         started = time.perf_counter()
         before = self.telemetry()
         with self._span("sweep", sweep=name, points=len(points)):
-            self._disk_prefetch(points)
             if self.batch:
                 self._prefetch_batch(points, effective_jobs)
             elif effective_jobs > 1:
@@ -805,13 +799,10 @@ class Session:
     ) -> None:
         """Fold one pool-worker result into this process's caches.
 
-        The worker's engine bumped *its own* process's ``PERF_COUNTERS``
-        — increments that die with the fork. The per-run telemetry
-        rides home on the result, so merging it here keeps the parent's
-        compat aggregate identical to what a ``jobs=1`` run reports.
+        The per-run telemetry rides home on the result, and ``_store``
+        folds it into the session rollup exactly as a ``jobs=1`` run
+        would.
         """
-        if result.telemetry is not None:
-            record_counters(result.telemetry.counters)
         self._store(canonical, result)
         self.stats["evaluated"] += 1
 
@@ -823,71 +814,17 @@ class Session:
         digest = point_digest(canonical, self.scale, self.latencies)
         return Path(self.cache_dir) / f"{digest}.pkl"
 
-    def _disk_prefetch(self, points: Iterable[Point]) -> None:
-        """Warm path: unpickle a sweep's disk-cache hits on a thread pool.
-
-        A warm re-run of a large sweep used to pay one serial
-        ``pickle.load`` per point on the main thread; here the reads
-        overlap on a small thread pool (unpickling releases the GIL
-        during file I/O). Results — hits *and* misses — land in a
-        private staging dict that :meth:`_disk_load` consumes, so the
-        ``disk_hits`` / ``disk_misses`` counters still advance exactly
-        where they always did. The elapsed wall clock is recorded in
-        ``stats["disk_read_seconds"]``.
-        """
-        if self.cache_dir is None:
-            return
-        candidates: list[Point] = []
-        seen: set[Point] = set()
-        for point in points:
-            canonical = self._canonical(point)
-            if (
-                canonical in seen
-                or canonical in self._results
-                or canonical in self._disk_prefetched
-                or canonical.program in self._custom
-            ):
-                continue
-            seen.add(canonical)
-            candidates.append(canonical)
-        if len(candidates) < 2:
-            return
-        started = time.perf_counter()
-
-        def read(canonical: Point):
-            path = self._disk_path(canonical)
-            try:
-                with path.open("rb") as handle:
-                    return canonical, pickle.load(handle)
-            except Exception:
-                return canonical, None  # miss or corrupt: both re-read
-        with ThreadPoolExecutor(
-            max_workers=min(8, len(candidates))
-        ) as readers:
-            for canonical, result in readers.map(read, candidates):
-                self._disk_prefetched[canonical] = result
-        self.stats["disk_read_seconds"] += time.perf_counter() - started
-
     def _disk_load(self, canonical: Point) -> SimulationResult | None:
-        staged = self._disk_prefetched.pop(canonical, _UNSET)
-        if staged is not _UNSET and staged is not None:
-            self.stats["disk_hits"] += 1
-            return _stamp_tier(staged, "disk")
-        # A staged miss falls through to a fresh read: the entry may
-        # have appeared since (another process), and the open below is
-        # what counts the miss either way.
         path = self._disk_path(canonical)
         if path is None:
             return None
         try:
             with path.open("rb") as handle:
                 result = pickle.load(handle)
-        except FileNotFoundError:
+        except Exception:
+            # Missing or corrupt entry: a miss either way; re-simulate.
             self.stats["disk_misses"] += 1
             return None
-        except Exception:
-            self.stats["disk_misses"] += 1
-            return None  # corrupt entry: treat as a miss, re-simulate
         self.stats["disk_hits"] += 1
         return _stamp_tier(result, "disk")
 

@@ -129,8 +129,8 @@ def simulate_batch(
     ``simulate(program, lane.unit_configs, lane.memory, latencies)``.
     Vectorizable lanes (uniform or stateless memory, bounded windows)
     run stacked in the 2-D stepping loop; the rest fall back to the
-    scalar engine one lane at a time (counted in
-    ``PERF_COUNTERS["batch_fallback_lanes"]``).
+    scalar engine one lane at a time (counted in each such lane's
+    ``telemetry.counters["batch_fallback_lanes"]``).
     """
     low = program.lowered()
     results: list[SimulationResult | None] = [None] * len(lanes)
@@ -141,7 +141,6 @@ def simulate_batch(
     if len(vector) < 2:
         vector = []
     cap = _lane_cap(low.total)
-    ran_vector = False
     for start in range(0, len(vector), cap):
         chunk = vector[start: start + cap]
         if len(chunk) < 2:
@@ -152,34 +151,18 @@ def simulate_batch(
         )
         for index, result in zip(chunk, chunk_results):
             results[index] = result
-            if result is not None and result.telemetry is not None:
-                # Per-lane telemetry is the source of truth; summing
-                # the lane records reproduces the old chunk-level
-                # global bumps exactly (batch_runs / batch_steps ride
-                # on each chunk's first surviving lane).
-                _engine.record_counters(result.telemetry.counters)
-        ran_vector = True
     for index, lane in enumerate(lanes):
         if results[index] is None:
             result = _engine.simulate(
                 program, lane.unit_configs, lane.memory, latencies,
                 collect_issue_times=collect_issue_times,
             )
-            if result.telemetry is not None:
-                # The scalar run published its own counters; only the
-                # fallback marker is new.
-                counters = dict(result.telemetry.counters)
-                counters["batch_fallback_lanes"] = (
-                    counters.get("batch_fallback_lanes", 0) + 1
-                )
-                result = replace(
-                    result,
-                    telemetry=replace(result.telemetry, counters=counters),
-                )
-            results[index] = result
-            _engine.record_counters({"batch_fallback_lanes": 1})
-    if ran_vector:
-        _engine.record_strategy("batch")
+            counters = dict(result.telemetry.counters)
+            counters["batch_fallback_lanes"] += 1
+            results[index] = replace(
+                result,
+                telemetry=replace(result.telemetry, counters=counters),
+            )
     return results  # type: ignore[return-value]
 
 
@@ -416,8 +399,7 @@ def _run_vector(
     fmax = np.full(n_lanes, -1, dtype=np.int64)
     lane_fill: list[tuple[int, int] | None] = [None] * n_lanes
     # Per-lane steady-skip contributions (skips, skipped instructions)
-    # for the lane telemetry records; merged into the global view by
-    # the caller, lane by lane.
+    # for the lane telemetry records.
     lane_skip: list[tuple[int, int]] = [(0, 0)] * n_lanes
     evicted: set[int] = set()
     memory_gids = tables["memory_gids"]
@@ -429,10 +411,7 @@ def _run_vector(
 
     # Lane-wise steady-state skip arming.
     steady = None
-    if (
-        total >= _engine._SKIP_MIN_TOTAL
-        and _engine._period_skip_enabled()
-    ):
+    if total >= _engine._SKIP_MIN_TOTAL:
         steady = low.steady()
     skip: list[_LaneSkip | None] = [None] * n_lanes
     # Next checkpoint boundary per lane (_NEVER once disarmed): one

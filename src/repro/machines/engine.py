@@ -41,9 +41,10 @@ declared capability picks the strategy:
   timestamps (docs/timing.md, "Event scheduling").
 
 The choice depends only on the inputs — memory capability, probes,
-latencies — and whichever route runs, the schedule is bit-exact. The
-strategy chosen by the most recent :func:`simulate` call is recorded
-in :data:`LAST_STRATEGY` for tests and benchmarks.
+latencies — and whichever route runs, the schedule is bit-exact. Each
+result's :class:`~repro.obs.telemetry.RunTelemetry` records the
+strategy taken and the run's accelerator counters; :func:`simulate`
+reads and writes no process state.
 
 A separate probing loop carries the buffer/ESW probes; it uses the
 same chunked queries. All loops are event-driven — idle cycles are
@@ -55,8 +56,6 @@ kernel by kernel and model by model.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from time import perf_counter
@@ -85,64 +84,11 @@ _SKIP_MIN_TOTAL = 2048
 _MAX_CHECKPOINTS = 64
 
 
-def _period_skip_enabled() -> bool:
-    return os.environ.get("REPRO_PERIOD_SKIP", "1") != "0"
-
-
 #: Event-heap keys pack ``(time << _TIME_SHIFT) | seq`` into one int so
 #: heap comparisons are single integer compares. 40 bits of ``seq``
 #: (one per pushed event, ~10^12) far exceeds any reachable run.
 _TIME_SHIFT = 40
 _SEQ_MASK = (1 << _TIME_SHIFT) - 1
-
-
-#: Cumulative steady-state accelerator activity, for tests and
-#: benchmarks that want to assert the skip path was (not) taken. A
-#: backward-compatible *aggregated view*: the engines accumulate into
-#: per-run :class:`~repro.obs.telemetry.TelemetryCollector` objects
-#: and merge them in here under :data:`_PERF_LOCK` when a run
-#: finishes. Not part of the public API.
-PERF_COUNTERS = {
-    "steady_skips": 0,
-    "skipped_instructions": 0,
-    "event_runs": 0,
-    "batch_runs": 0,
-    "batch_lanes": 0,
-    "batch_fallback_lanes": 0,
-    "batch_steps": 0,
-}
-
-#: Strategy chosen by the most recent :func:`simulate` call — one of
-#: ``uniform-table``, ``stateless-table``, ``speculative``,
-#: ``chunked``, ``events-chunked`` or ``probing`` (``batch`` after a
-#: :func:`repro.machines.batch.simulate_batch` vectorized run).
-#: Diagnostic only (tests, benchmarks); not part of the public API.
-LAST_STRATEGY = "none"
-
-#: Guards every write to the compat aggregate above. Reads for display
-#: should go through :func:`counters_snapshot`.
-_PERF_LOCK = threading.Lock()
-
-
-def record_counters(counters: dict[str, int]) -> None:
-    """Merge one run's counter contribution into the global view."""
-    with _PERF_LOCK:
-        for key, value in counters.items():
-            if value:
-                PERF_COUNTERS[key] = PERF_COUNTERS.get(key, 0) + value
-
-
-def record_strategy(strategy: str) -> None:
-    """Publish the most recent strategy label (thread-safe)."""
-    global LAST_STRATEGY
-    with _PERF_LOCK:
-        LAST_STRATEGY = strategy
-
-
-def counters_snapshot() -> dict[str, int]:
-    """A consistent copy of :data:`PERF_COUNTERS`."""
-    with _PERF_LOCK:
-        return dict(PERF_COUNTERS)
 
 
 def _chosen(
@@ -200,7 +146,6 @@ def simulate(
     probe_esw: bool = False,
     collect_issue_times: bool = False,
     max_cycles: int | None = None,
-    collector: TelemetryCollector | None = None,
 ) -> SimulationResult:
     """Run a machine program to completion and return timing results.
 
@@ -219,9 +164,6 @@ def simulate(
             tests and debugging; costs memory).
         max_cycles: abort with :class:`SimulationError` if the clock
             passes this bound (guards against configuration mistakes).
-        collector: per-run telemetry sink; supply one to claim the
-            run's counters yourself (the global aggregate is then
-            *not* updated — callers that pass a collector publish it).
     """
     if memory is None:
         memory = FixedLatencyMemory(0)
@@ -231,9 +173,7 @@ def simulate(
         if unit not in unit_configs:
             raise SimulationError(f"no unit configuration for {unit.value}")
 
-    own_collector = collector is None
-    if collector is None:
-        collector = TelemetryCollector()
+    collector = TelemetryCollector()
     started = perf_counter()
     result = _route(
         program, unit_configs, memory, latencies, probe_buffers,
@@ -246,9 +186,6 @@ def simulate(
         wall_seconds=perf_counter() - started,
         sim_cycles=result.cycles,
     )
-    if own_collector:
-        record_counters(collector.counters)
-        record_strategy(collector.strategy)
     return replace(result, telemetry=telemetry)
 
 
@@ -291,7 +228,6 @@ def _route(
             memory.speculation_friendly()
             and max_cycles is None
             and low.total >= _SKIP_MIN_TOTAL
-            and _period_skip_enabled()
             and low.single_memory_unit()
             and low.steady() is not None
         ):
@@ -358,7 +294,7 @@ def _simulate_speculative(
     memory: MemorySystem,
     latencies: LatencyModel,
     collect_issue_times: bool,
-    collector: TelemetryCollector | None = None,
+    collector: TelemetryCollector,
 ) -> SimulationResult | None:
     """Schedule fixed point: decouple the stateful model from the loop.
 
@@ -479,8 +415,8 @@ def _simulate_fast(
     max_cycles: int | None,
     steady_ok: bool,
     chunked: bool,
+    collector: TelemetryCollector,
     fill_gids: list[int] | None = None,
-    collector: TelemetryCollector | None = None,
 ) -> tuple[SimulationResult, list[int]]:
     """The hot path: no probes, every latency baked or chunk-batched.
 
@@ -525,12 +461,7 @@ def _simulate_fast(
     oldest = [0] * nu  # per-unit oldest-unissued stream position
 
     steady = None
-    if (
-        steady_ok
-        and max_cycles is None
-        and total >= _SKIP_MIN_TOTAL
-        and _period_skip_enabled()
-    ):
+    if steady_ok and max_cycles is None and total >= _SKIP_MIN_TOTAL:
         steady = low.steady()
     if steady is not None:
         # The structural period ignores addresses, so a per-gid table
@@ -741,14 +672,8 @@ def _simulate_fast(
                     fmax += d_gid
                     skip_shift = period
                     skip_dt = dt
-                    if collector is not None:
-                        collector.counters["steady_skips"] += 1
-                        collector.counters["skipped_instructions"] += d_gid
-                    else:
-                        record_counters({
-                            "steady_skips": 1,
-                            "skipped_instructions": d_gid,
-                        })
+                    collector.counters["steady_skips"] += 1
+                    collector.counters["skipped_instructions"] += d_gid
                 steady = None
             else:
                 prev_fp = fp
@@ -894,8 +819,8 @@ def _simulate_events(
     latencies: LatencyModel,
     collect_issue_times: bool,
     max_cycles: int | None,
+    collector: TelemetryCollector,
     trace: list[tuple[int, int, int]] | None = None,
-    collector: TelemetryCollector | None = None,
 ) -> SimulationResult:
     """Event-heap scheduler: the clock jumps straight to the next event.
 
@@ -1166,10 +1091,7 @@ def _simulate_events(
             f"no unit can make progress at cycle {t} with "
             f"{outstanding} instructions outstanding"
         )
-    if collector is not None:
-        collector.counters["event_runs"] += 1
-    else:
-        record_counters({"event_runs": 1})
+    collector.counters["event_runs"] += 1
     unit_stats = {
         units[u]: UnitStats(
             unit=units[u],

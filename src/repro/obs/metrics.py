@@ -118,7 +118,7 @@ class MetricsRegistry:
         if engine_counters is not None:
             lines.append(
                 "# HELP repro_engine_counter_total "
-                "Engine accelerator counters, process-wide."
+                "Engine accelerator counters, summed over this server's jobs."
             )
             lines.append("# TYPE repro_engine_counter_total counter")
             for counter, value in sorted(engine_counters.items()):

@@ -1,22 +1,19 @@
 """Per-run telemetry: what one simulation did, as a record.
 
-Historically the only visibility into the engine stack was the
-module-global ``PERF_COUNTERS`` dict and ``LAST_STRATEGY`` string in
-:mod:`repro.machines.engine` — racy under threads and silently zeroed
-in process-pool workers. The engines now thread an explicit
-:class:`TelemetryCollector` through each run and attach the resulting
-:class:`RunTelemetry` to the :class:`~repro.machines.engine
-.SimulationResult`; the globals survive purely as lock-guarded
-aggregated views fed from these per-run records.
+The engines thread an explicit :class:`TelemetryCollector` through
+each run and attach the resulting :class:`RunTelemetry` to the
+:class:`~repro.machines.engine.SimulationResult`. The per-result record
+is the only one: there is no process-global aggregate, so threads and
+process-pool workers never race on or lose counts. Rollups (a
+session's :meth:`~repro.api.Session.telemetry`, the service's
+``/v1/metrics``) are sums of these records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Counter keys every collector tracks — one-to-one with the legacy
-#: ``repro.machines.engine.PERF_COUNTERS`` aggregate, so summing the
-#: per-run records reproduces the global view exactly.
+#: Counter keys every collector tracks.
 COUNTER_KEYS = (
     "steady_skips",
     "skipped_instructions",
@@ -45,10 +42,10 @@ def add_counters(into: dict[str, int], delta: dict[str, int]) -> dict[str, int]:
 class RunTelemetry:
     """Outcome metadata of one simulation run.
 
-    ``counters`` holds exactly this run's contribution to the global
-    aggregate (all :data:`COUNTER_KEYS`, zeros included), so counters
-    summed over a sweep's results equal the ``PERF_COUNTERS`` delta
-    the sweep produced — regardless of which process ran each point.
+    ``counters`` holds exactly this run's accelerator counters (all
+    :data:`COUNTER_KEYS`, zeros included), so counters summed over a
+    sweep's fresh results equal the session rollup's delta, regardless
+    of which process ran each point.
     ``cache_tier`` records where *this* copy of the result came from:
     ``fresh`` (simulated now), ``memory``, ``disk`` or ``store``.
     Excluded from result equality and cache keys: two results are the
@@ -79,8 +76,8 @@ class RunTelemetry:
 class TelemetryCollector:
     """Mutable per-run counter sink threaded through the engine loops.
 
-    The hot loops bump ``collector.counters[key]`` directly — the same
-    dict-increment cost as the old module global, without the races.
+    The hot loops bump ``collector.counters[key]`` directly: one dict
+    increment, private to the run.
     """
 
     __slots__ = ("strategy", "counters")

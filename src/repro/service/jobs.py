@@ -56,6 +56,7 @@ from ..config import LatencyModel
 from ..errors import ConfigError, QueueFullError, ReproError
 from ..kernels import get_kernel
 from ..machines.registry import get_machine
+from ..obs.telemetry import add_counters, zero_counters
 from ..obs.trace import tracer_from_env
 
 __all__ = [
@@ -238,6 +239,8 @@ class JobScheduler:
         self._running = 0
         self._accepting = True
         self._stop = False
+        # Engine counters summed over every finished job's telemetry.
+        self._counters = zero_counters()
         self._local = threading.local()
         # Job-lifecycle spans land in the same REPRO_TRACE file the
         # worker sessions write to, so one trace shows the whole story.
@@ -352,6 +355,11 @@ class JobScheduler:
         with self._lock:
             return [self._jobs[job_id] for job_id in self._order]
 
+    def engine_counters(self) -> dict[str, int]:
+        """Engine counters summed over every job that finished so far."""
+        with self._lock:
+            return dict(self._counters)
+
     def counts(self) -> dict[str, int]:
         """Jobs per state plus queue occupancy, for ``/health``."""
         with self._lock:
@@ -463,6 +471,7 @@ class JobScheduler:
                 if error is None:
                     job.state = DONE
                     job.rows = rows
+                    add_counters(self._counters, job.telemetry["counters"])
                 else:
                     job.state = FAILED
                     job.error = error

@@ -41,7 +41,6 @@ from time import perf_counter
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import QueueFullError, ReproError, StoreError
-from ..machines.engine import counters_snapshot
 from ..obs.metrics import MetricsRegistry
 from ..report.store import ResultStore
 from .jobs import DONE, FAILED, JOB_STATES, JobScheduler, ServiceConfig
@@ -382,7 +381,7 @@ def _make_handler(config: ServiceConfig, scheduler: JobScheduler):
                 job_states={
                     state: counts[state] for state in JOB_STATES
                 },
-                engine_counters=counters_snapshot(),
+                engine_counters=scheduler.engine_counters(),
             ).encode("utf-8")
             self.send_response(200)
             self.send_header(

@@ -9,13 +9,14 @@ must leave disk-cache keys and payloads untouched. The suite checks:
 * lane-for-lane parity against ``simulate`` on every declarative
   memory kind and both machine models (stateful kinds exercise the
   per-lane fallback path);
-* the same parity with the ``REPRO_PERIOD_SKIP`` toggle on and off,
-  and with a leftover ``REPRO_EVENT_ENGINE`` that must change nothing;
+* the same parity against the scalar fast loop with its steady-state
+  skip armed and disarmed, and with a leftover ``REPRO_EVENT_ENGINE``
+  that must change nothing;
 * Session runs with ``batch=True`` vs ``batch=False``: identical
   results, identical cache file names, byte-identical payloads,
   serial and ``jobs=4``;
-* singleton groups through ``Session.evaluate_batch``, the batch perf
-  counters, the on-disk lowering cache, and the threaded warm path;
+* singleton groups through ``Session.evaluate_batch``, the per-lane
+  batch counters, the on-disk lowering cache, and the warm disk path;
 * a Hypothesis property over generated ``gen:<family>:<seed>``
   kernels.
 """
@@ -37,7 +38,7 @@ from repro import (  # noqa: E402
 from repro.api import MemorySpec, Point, Session, Sweep  # noqa: E402
 from repro.experiments.scales import PRESETS  # noqa: E402
 from repro.kernels import build_kernel  # noqa: E402
-from repro.machines import engine, simulate  # noqa: E402
+from repro.machines import simulate  # noqa: E402
 from repro.machines.batch import (  # noqa: E402
     BatchLane,
     simulate_batch,
@@ -48,7 +49,9 @@ from repro.memory import (  # noqa: E402
     FixedLatencyMemory,
     MemorySystem,
 )
+from repro.obs.telemetry import add_counters, zero_counters  # noqa: E402
 from repro.workloads.grammar import FAMILIES  # noqa: E402
+from test_engine_soa import run_unskipped  # noqa: E402
 
 TINY = PRESETS["tiny"].scale
 
@@ -64,7 +67,7 @@ MEMORY_SPECS = {
 }
 
 #: Kinds whose models answer queries without mutating state; these
-#: must take the vectorized path (checked via the perf counters).
+#: must take the vectorized path (checked via the lane counters).
 STATELESS_KINDS = ("fixed",)
 
 
@@ -115,33 +118,33 @@ class AddressHashMemory(MemorySystem):
         pass
 
 
-def reset_counters() -> dict[str, int]:
-    before = dict(engine.PERF_COUNTERS)
-    for key in engine.PERF_COUNTERS:
-        engine.PERF_COUNTERS[key] = 0
-    return before
+def lane_counters(results) -> dict[str, int]:
+    """Counters summed over the lane results of one batched call."""
+    total = zero_counters()
+    for result in results:
+        add_counters(total, result.telemetry.counters)
+    return total
 
 
-def assert_lane_parity(compiled, lanes, reference_memories) -> str:
+def shipped(compiled, configs, memory):
+    return simulate(compiled, configs, memory, collect_issue_times=True)
+
+
+def unskipped(compiled, configs, memory):
+    return run_unskipped(compiled, configs, memory)[0]
+
+
+def assert_lane_parity(compiled, lanes, reference_memories,
+                       scalar=shipped) -> list:
     """Each batched lane equals a fresh scalar run of the same lane.
 
-    Returns the ``LAST_STRATEGY`` recorded for the batched call (the
-    scalar reference runs below overwrite the module global).
+    Returns the batched results.
     """
     results = simulate_batch(compiled, lanes, collect_issue_times=True)
-    strategy = engine.LAST_STRATEGY
-    counters = dict(engine.PERF_COUNTERS)
     assert len(results) == len(lanes)
     for lane, memory, got in zip(lanes, reference_memories, results):
-        want = simulate(
-            compiled,
-            lane.unit_configs,
-            memory,
-            collect_issue_times=True,
-        )
-        assert got == want
-    engine.PERF_COUNTERS.update(counters)
-    return strategy
+        assert got == scalar(compiled, lane.unit_configs, memory)
+    return results
 
 
 class TestLaneParity:
@@ -159,17 +162,17 @@ class TestLaneParity:
             for window, md in grid
         ]
         refs = [spec.build(md) for _, md in grid]
-        reset_counters()
-        strategy = assert_lane_parity(compiled, lanes, refs)
+        results = assert_lane_parity(compiled, lanes, refs)
         if kind in STATELESS_KINDS:
-            assert engine.PERF_COUNTERS["batch_runs"] >= 1
+            counters = lane_counters(results)
+            assert counters["batch_runs"] >= 1
             # Aperiodic lanes may be evicted to the scalar fallback;
             # every lane is accounted for either way.
-            vectorized = engine.PERF_COUNTERS["batch_lanes"]
-            fallback = engine.PERF_COUNTERS["batch_fallback_lanes"]
+            vectorized = counters["batch_lanes"]
+            fallback = counters["batch_fallback_lanes"]
             assert vectorized + fallback == len(grid)
             assert vectorized >= 2
-            assert strategy == "batch"
+            assert any(r.telemetry.strategy == "batch" for r in results)
 
     @pytest.mark.parametrize("machine", ("dm", "swsm"))
     def test_stateful_kinds_fall_back_per_lane(self, machine):
@@ -181,9 +184,8 @@ class TestLaneParity:
             BatchLane(unit_configs=make(w), memory=spec.build(60))
             for w in (8, 32)
         ]
-        reset_counters()
         results = simulate_batch(compiled, lanes)
-        assert engine.PERF_COUNTERS["batch_fallback_lanes"] == 2
+        assert lane_counters(results)["batch_fallback_lanes"] == 2
         for lane, got in zip(lanes, results):
             assert got.cycles == simulate(
                 compiled, lane.unit_configs, spec.build(60)
@@ -200,9 +202,8 @@ class TestLaneParity:
             for w, m in zip((4, 16, 128), mems)
         ]
         refs = [AddressHashMemory() for _ in range(3)]
-        reset_counters()
-        assert_lane_parity(compiled, lanes, refs)
-        assert engine.PERF_COUNTERS["batch_fallback_lanes"] == 0
+        results = assert_lane_parity(compiled, lanes, refs)
+        assert lane_counters(results)["batch_fallback_lanes"] == 0
         for lane_mem, ref_mem in zip(mems, refs):
             assert lane_mem.queries == ref_mem.queries
 
@@ -211,12 +212,14 @@ class TestLaneParity:
     def test_parity_under_engine_toggles(
         self, monkeypatch, period_skip, event_engine
     ):
-        """The skip toggle changes strategy, never the schedule.
+        """Lanes match the scalar loop with its skip armed or disarmed.
 
-        ``REPRO_EVENT_ENGINE`` no longer exists; a leftover value in the
-        environment must change nothing either.
+        ``period_skip="1"`` compares against shipped ``simulate``;
+        ``"0"`` against the fast loop driven directly with the
+        steady-state skip disarmed. ``REPRO_EVENT_ENGINE`` no longer
+        exists; a leftover value in the environment must change
+        nothing either.
         """
-        monkeypatch.setenv("REPRO_PERIOD_SKIP", period_skip)
         monkeypatch.setenv("REPRO_EVENT_ENGINE", event_engine)
         compiled = compiled_for("flo52q", "dm")
         grid = [(8, 60), (64, 0), (64, 60)]
@@ -227,7 +230,8 @@ class TestLaneParity:
             for w, md in grid
         ]
         refs = [FixedLatencyMemory(md) for _, md in grid]
-        assert_lane_parity(compiled, lanes, refs)
+        scalar = shipped if period_skip == "1" else unskipped
+        assert_lane_parity(compiled, lanes, refs, scalar)
 
     def test_mixed_lanes_split_vector_and_fallback(self):
         compiled = compiled_for("trfd", "dm")
@@ -248,10 +252,9 @@ class TestLaneParity:
             MEMORY_SPECS["banked"].build(60),
             FixedLatencyMemory(70),
         ]
-        reset_counters()
-        assert_lane_parity(compiled, lanes, refs)
-        assert engine.PERF_COUNTERS["batch_lanes"] == 2
-        assert engine.PERF_COUNTERS["batch_fallback_lanes"] == 1
+        counters = lane_counters(assert_lane_parity(compiled, lanes, refs))
+        assert counters["batch_lanes"] == 2
+        assert counters["batch_fallback_lanes"] == 1
 
     def test_vector_eligible_predicate(self):
         assert vector_eligible(FixedLatencyMemory(60), 32)
@@ -329,13 +332,10 @@ class TestSessionParity:
         point = Point(program="trfd", machine="dm", window=16,
                       memory_differential=60)
         session = Session(scale=TINY)
-        before = dict(engine.PERF_COUNTERS)
         [(got_point, got)] = session.evaluate_batch([point])
         assert got.telemetry.strategy == "uniform-table"
         assert got.telemetry.counters["batch_fallback_lanes"] == 1
-        assert engine.PERF_COUNTERS["batch_fallback_lanes"] \
-            - before["batch_fallback_lanes"] == 1
-        assert engine.PERF_COUNTERS["batch_lanes"] == before["batch_lanes"]
+        assert got.telemetry.counters["batch_lanes"] == 0
         assert got_point == point
         assert got == Session(scale=TINY).evaluate(point)
 
@@ -377,7 +377,7 @@ class TestLoweringCache:
 
 
 class TestWarmPath:
-    """Threaded disk-cache reads on re-runs."""
+    """Disk-cache reads on re-runs."""
 
     def test_warm_rerun_is_all_disk_hits(self, tmp_path):
         _, got, cache = run_session(tmp_path, "warm", batch=True)
@@ -386,7 +386,6 @@ class TestWarmPath:
         assert outcome.results == got.results
         assert warm.stats["evaluated"] == 0
         assert warm.stats["disk_hits"] == len(list(sweep_for().points()))
-        assert warm.stats["disk_read_seconds"] > 0.0
 
 
 @settings(max_examples=10, deadline=None)

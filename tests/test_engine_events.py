@@ -5,7 +5,8 @@ must produce the exact schedule of the SoA cycle loops and of the
 naive cycle-by-cycle oracle — across both machines (DM, SWSM), every
 memory model kind the hierarchy scenario space ships
 (fixed/bypass/cache/hierarchy/banked/prefetch), probes on and off, and
-``REPRO_PERIOD_SKIP`` on and off. Shipped routing sends time-sensitive
+the steady-state skip armed (shipped routing) or disarmed (the fast
+loop driven directly). Shipped routing sends time-sensitive
 models to the heap; the suite checks that routing, drives the heap
 directly where routing would not pick it, and pins the FIFO
 seq-counter determinism of the event heap (docs/timing.md, "Event
@@ -27,6 +28,7 @@ from test_engine_soa import (
     compiled_variants,
     dm_configs,
     loop_nest_program,
+    run_unskipped,
     stateful_model_zoo,
     swsm_configs,
 )
@@ -36,9 +38,10 @@ from repro.api import MemorySpec, Point, Session
 from repro.api.presets import HIERARCHY_MEMORY_VARIANTS
 from repro.config import DEFAULT_LATENCIES
 from repro.kernels import build_kernel
-from repro.machines import engine, simulate, simulate_naive
-from repro.machines.engine import _simulate_events, _simulate_fast
+from repro.machines import simulate, simulate_naive
+from repro.machines.engine import _simulate_events
 from repro.memory import BankedMemory, FixedLatencyMemory
+from repro.obs.telemetry import TelemetryCollector
 
 MD = 60
 
@@ -55,7 +58,8 @@ def run_events(compiled, configs, memory, trace=None):
     time-sensitive models)."""
     return _simulate_events(
         compiled.lowered(), compiled, configs, memory, DEFAULT_LATENCIES,
-        collect_issue_times=True, max_cycles=None, trace=trace,
+        collect_issue_times=True, max_cycles=None,
+        collector=TelemetryCollector(), trace=trace,
     )
 
 
@@ -89,15 +93,12 @@ class TestEventEngineParity:
         # sequence as the chunked cycle loop, so hit/conflict counters
         # agree.
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
-        low = compiled.lowered()
         for label in ("banked", "prefetch", "cache"):
             ev_memory = build_memory(label)
             run_events(compiled, dm_configs(32), ev_memory)
             loop_memory = build_memory(label)
-            _simulate_fast(
-                low, compiled, dm_configs(32), loop_memory, low.base_addlat,
-                DEFAULT_LATENCIES, False, None, steady_ok=False, chunked=True,
-            )
+            run_unskipped(compiled, dm_configs(32), loop_memory,
+                          chunked=True)
             assert ev_memory.stats() == loop_memory.stats()
 
     def test_random_loop_nests(self):
@@ -114,22 +115,19 @@ class TestEventEngineParity:
                                        FixedLatencyMemory(MD))
                 assert_same_schedule(events, naive)
 
-    def test_period_skip_toggle_is_invisible(self, monkeypatch):
-        # The event engine has no skip layer, so REPRO_PERIOD_SKIP must
-        # not change its schedule — and the skip-accelerated shipped
-        # run must agree with both.
+    def test_period_skip_toggle_is_invisible(self):
+        # The event engine has no skip layer: its schedule must match
+        # the skip-accelerated shipped run and the same fast loop
+        # driven with the skip disarmed.
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
-        runs = {}
-        for skip in ("1", "0"):
-            monkeypatch.setenv("REPRO_PERIOD_SKIP", skip)
-            runs["events", skip] = run_events(
-                compiled, dm_configs(32), FixedLatencyMemory(MD))
-            runs["shipped", skip] = simulate(
-                compiled, dm_configs(32), FixedLatencyMemory(MD),
-                collect_issue_times=True)
-        baseline = runs["events", "1"]
-        for other in runs.values():
-            assert_same_schedule(baseline, other)
+        events = run_events(compiled, dm_configs(32), FixedLatencyMemory(MD))
+        shipped = simulate(compiled, dm_configs(32), FixedLatencyMemory(MD),
+                           collect_issue_times=True)
+        assert shipped.telemetry.counters["steady_skips"] >= 1
+        unskipped, _ = run_unskipped(compiled, dm_configs(32),
+                                     FixedLatencyMemory(MD))
+        assert_same_schedule(events, shipped)
+        assert_same_schedule(events, unskipped)
 
     def test_probes_route_past_the_event_engine(self):
         # Probing runs keep their dedicated loop, even on time-sensitive
@@ -140,7 +138,7 @@ class TestEventEngineParity:
             probed = simulate(compiled, dm_configs(32), build_memory(label),
                               probe_buffers=True, probe_esw=True,
                               collect_issue_times=True)
-            assert engine.LAST_STRATEGY == "probing"
+            assert probed.telemetry.strategy == "probing"
             naive = simulate_naive(compiled, dm_configs(32),
                                    build_memory(label),
                                    probe_buffers=True, probe_esw=True)
@@ -157,38 +155,39 @@ class TestStrategySelection:
 
     def test_auto_routes_time_sensitive_models_to_the_heap(self):
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
-        simulate(compiled, dm_configs(32), build_memory("banked"))
-        assert engine.LAST_STRATEGY == "events-chunked"
-        simulate(compiled, dm_configs(32), build_memory("fixed"))
-        assert engine.LAST_STRATEGY == "uniform-table"
-        simulate(compiled, dm_configs(32), build_memory("cache"))
-        assert engine.LAST_STRATEGY in ("speculative", "chunked")
+
+        def strategy(label):
+            result = simulate(compiled, dm_configs(32), build_memory(label))
+            return result.telemetry.strategy
+
+        assert strategy("banked") == "events-chunked"
+        assert strategy("fixed") == "uniform-table"
+        assert strategy("cache") in ("speculative", "chunked")
 
     @pytest.mark.parametrize("spelling", ["1", "on", "force", "events"])
     def test_force_spellings(self, spelling, monkeypatch):
         monkeypatch.setenv("REPRO_EVENT_ENGINE", spelling)
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
-        simulate(compiled, dm_configs(16), FixedLatencyMemory(MD))
-        assert engine.LAST_STRATEGY == "uniform-table"
+        result = simulate(compiled, dm_configs(16), FixedLatencyMemory(MD))
+        assert result.telemetry.strategy == "uniform-table"
 
     @pytest.mark.parametrize("spelling", ["0", "off", "soa"])
     def test_off_spellings(self, spelling, monkeypatch):
         monkeypatch.setenv("REPRO_EVENT_ENGINE", spelling)
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
-        simulate(compiled, dm_configs(16), build_memory("banked"))
-        assert engine.LAST_STRATEGY == "events-chunked"
+        result = simulate(compiled, dm_configs(16), build_memory("banked"))
+        assert result.telemetry.strategy == "events-chunked"
 
     def test_unknown_spelling_is_auto(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVENT_ENGINE", "bogus")
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
-        simulate(compiled, dm_configs(16), FixedLatencyMemory(MD))
-        assert engine.LAST_STRATEGY == "uniform-table"
+        result = simulate(compiled, dm_configs(16), FixedLatencyMemory(MD))
+        assert result.telemetry.strategy == "uniform-table"
 
     def test_event_runs_counter_increments(self):
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
-        before = engine.PERF_COUNTERS["event_runs"]
-        simulate(compiled, dm_configs(16), build_memory("banked"))
-        assert engine.PERF_COUNTERS["event_runs"] == before + 1
+        result = simulate(compiled, dm_configs(16), build_memory("banked"))
+        assert result.telemetry.counters["event_runs"] == 1
 
 
 class TestHeapDeterminism:

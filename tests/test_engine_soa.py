@@ -32,10 +32,11 @@ from repro import (
     Unit,
     UnitConfig,
 )
+from repro.config import DEFAULT_LATENCIES
 from repro.experiments.scales import PRESETS
 from repro.kernels import PAPER_ORDER, build_kernel
 from repro.machines import simulate, simulate_naive
-from repro.machines.engine import PERF_COUNTERS
+from repro.machines.engine import _simulate_fast
 from repro.memory import (
     CAP_STATELESS,
     BankedMemory,
@@ -45,6 +46,7 @@ from repro.memory import (
     MemorySystem,
     StreamPrefetcher,
 )
+from repro.obs.telemetry import TelemetryCollector
 
 TINY = PRESETS["tiny"].scale
 SMALL = PRESETS["small"].scale
@@ -65,6 +67,29 @@ def compiled_variants(name: str, scale: int):
     program = build_kernel(name, scale)
     yield DecoupledMachine.compile(program), dm_configs
     yield SuperscalarMachine.compile(program), swsm_configs
+
+
+def run_unskipped(compiled, configs, memory, *, chunked=False):
+    """The fast loop driven directly, steady-state skip disarmed.
+
+    Uniform memory folds into one latency table; ``chunked`` answers
+    every issue batch with one live query instead (stateful models).
+    Returns the result and the run's telemetry collector.
+    """
+    low = compiled.lowered()
+    memory.reset()
+    if chunked:
+        addlat = low.base_addlat
+    else:
+        addlat = low.addlat_for(
+            DEFAULT_LATENCIES.mem_base + memory.uniform_extra_latency()
+        )
+    collector = TelemetryCollector()
+    result, _ = _simulate_fast(
+        low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
+        True, None, steady_ok=False, chunked=chunked, collector=collector,
+    )
+    return result, collector
 
 
 def assert_same_schedule(new, old) -> None:
@@ -167,23 +192,25 @@ class TestSteadyStateAccelerator:
 
     def test_skip_fires_on_small_kernels(self):
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
-        before = PERF_COUNTERS["steady_skips"]
         new = simulate(compiled, dm_configs(32), FixedLatencyMemory(60),
                        collect_issue_times=True)
-        assert PERF_COUNTERS["steady_skips"] == before + 1
+        assert new.telemetry.counters["steady_skips"] == 1
         naive = simulate_naive(compiled, dm_configs(32),
                                FixedLatencyMemory(60))
         assert_same_schedule(new, naive)
 
-    def test_env_toggle_disables_skip(self, monkeypatch):
+    def test_env_toggle_disables_skip(self):
+        # The skip has no switch: shipped routing always arms it, and
+        # the same loop driven directly with it disarmed must produce
+        # the identical schedule.
         compiled = DecoupledMachine.compile(build_kernel("trfd", SMALL))
         enabled = simulate(compiled, dm_configs(32), FixedLatencyMemory(60),
                            collect_issue_times=True)
-        monkeypatch.setenv("REPRO_PERIOD_SKIP", "0")
-        before = PERF_COUNTERS["steady_skips"]
-        disabled = simulate(compiled, dm_configs(32), FixedLatencyMemory(60),
-                            collect_issue_times=True)
-        assert PERF_COUNTERS["steady_skips"] == before
+        assert enabled.telemetry.counters["steady_skips"] >= 1
+        disabled, collector = run_unskipped(
+            compiled, dm_configs(32), FixedLatencyMemory(60)
+        )
+        assert collector.counters["steady_skips"] == 0
         assert_same_schedule(enabled, disabled)
 
     def test_irregular_program_has_no_steady_state(self):
@@ -278,28 +305,29 @@ class TestStatefulMemoryParity:
             assert_same_schedule(first, again)
             assert_same_schedule(again, fresh)
 
-    def test_speculation_toggle_matches(self, monkeypatch):
-        # REPRO_PERIOD_SKIP=0 also disables the speculative fixed
-        # point; results must not change, only the route taken.
+    def test_speculation_toggle_matches(self):
+        # The speculative fixed point must reproduce the live chunked
+        # loop (no skip, no speculation) exactly: only the route
+        # differs.
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
         make_memory = dict(stateful_model_zoo())["bypass"]
         fast = simulate(compiled, dm_configs(32), make_memory(),
                         collect_issue_times=True)
-        monkeypatch.setenv("REPRO_PERIOD_SKIP", "0")
-        slow = simulate(compiled, dm_configs(32), make_memory(),
-                        collect_issue_times=True)
+        assert fast.telemetry.strategy == "speculative"
+        slow, _ = run_unskipped(compiled, dm_configs(32), make_memory(),
+                                chunked=True)
         assert_same_schedule(fast, slow)
 
-    def test_stateful_stats_identical_across_paths(self, monkeypatch):
+    def test_stateful_stats_identical_across_paths(self):
         # Hit counters come from the replayed model on the speculative
         # path and from live chunks otherwise; they must agree.
         compiled = DecoupledMachine.compile(build_kernel("flo52q", SMALL))
         make_memory = dict(stateful_model_zoo())["bypass"]
         spec_memory = make_memory()
-        simulate(compiled, dm_configs(32), spec_memory)
-        monkeypatch.setenv("REPRO_PERIOD_SKIP", "0")
+        spec = simulate(compiled, dm_configs(32), spec_memory)
+        assert spec.telemetry.strategy == "speculative"
         live_memory = make_memory()
-        simulate(compiled, dm_configs(32), live_memory)
+        run_unskipped(compiled, dm_configs(32), live_memory, chunked=True)
         assert spec_memory.stats() == live_memory.stats()
 
 

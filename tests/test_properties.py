@@ -13,6 +13,7 @@ from repro.machines import simulate, simulate_naive
 from repro.machines.engine import _simulate_events
 from repro.memory import BankedMemory, FixedLatencyMemory, StreamPrefetcher
 from repro.metrics import find_equivalent_window
+from repro.obs.telemetry import TelemetryCollector
 from repro.workloads import FAMILIES
 
 
@@ -128,7 +129,8 @@ def _event_trace(compiled, memory):
     trace: list[tuple[int, int, int]] = []
     result = _simulate_events(
         low, compiled, configs, memory, DEFAULT_LATENCIES,
-        collect_issue_times=True, max_cycles=None, trace=trace,
+        collect_issue_times=True, max_cycles=None,
+        collector=TelemetryCollector(), trace=trace,
     )
     return result, trace
 
@@ -192,7 +194,7 @@ class TestEventHeapProperties:
                 events = _simulate_events(
                     compiled.lowered(), compiled, configs, make_memory(),
                     DEFAULT_LATENCIES, collect_issue_times=True,
-                    max_cycles=None,
+                    max_cycles=None, collector=TelemetryCollector(),
                 )
                 shipped = simulate(compiled, configs, make_memory(),
                                    collect_issue_times=True)

@@ -10,17 +10,21 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
+from test_engine_soa import ParityCheckedMemory, dm_configs, swsm_configs
 
+from repro import DecoupledMachine, SuperscalarMachine
 from repro.api import MemorySpec, Point, Session, Sweep, speedup_sweep
 from repro.config import LatencyModel
 from repro.errors import ConfigError
-from repro.kernels import build_synthetic_stream
+from repro.kernels import build_kernel, build_synthetic_stream
 from repro.machines import (
     SimulationResult,
     get_machine,
     list_machines,
     register_machine,
+    simulate,
 )
+from repro.memory import FixedLatencyMemory
 from repro.workloads import generate_corpus
 
 SCALE = 2_000
@@ -239,8 +243,9 @@ class TestNoSharedState:
         # sweeping from several threads — batched, per-point or through
         # a process pool — never writes the shared process environment,
         # and the only REPRO_* variables read are the documented ones.
-        # Forked pool workers inherit the recording stand-in, and every
-        # process appends to one shared log, so worker accesses count.
+        # Forked pool workers inherit the recording stand-in (each logs
+        # a ``fork`` line on start), and every process appends to one
+        # shared log, so worker accesses count.
         log = tmp_path / "environ.log"
         monkeypatch.setattr(os, "environ", _RecordingEnviron(os.environ, log))
         points = [
@@ -264,9 +269,44 @@ class TestNoSharedState:
         entries = [line.split("\t") for line in log.read_text().splitlines()]
         assert {int(pid) for pid, _, _ in entries} - {os.getpid()}, \
             "no pool worker reached the recording environment"
-        assert [entry for entry in entries if entry[1] != "read"] == []
-        assert {key for _, _, key in entries} \
-            <= {"REPRO_PERIOD_SKIP", "REPRO_TRACE", "REPRO_SCALE"}
+        accesses = [entry for entry in entries if entry[1] != "fork"]
+        assert [entry for entry in accesses if entry[1] != "read"] == []
+        assert {key for _, _, key in accesses} \
+            <= {"REPRO_TRACE", "REPRO_SCALE"}
+
+    def test_simulate_touches_no_environment(self, monkeypatch, tmp_path):
+        # A direct engine call is a function of its inputs alone: on
+        # every route (uniform and stateless tables, the speculative
+        # fixed point, the event heap, the probing loop) and on both
+        # machines it reads no REPRO_* variable and writes none.
+        log = tmp_path / "environ.log"
+        program = build_kernel("flo52q", 3_000)
+        machines = (
+            (DecoupledMachine.compile(program), dm_configs(32)),
+            (SuperscalarMachine.compile(program), swsm_configs(32)),
+        )
+        memories = (
+            lambda: FixedLatencyMemory(60),
+            ParityCheckedMemory,
+            lambda: MemorySpec(kind="bypass").build(60),
+            lambda: MemorySpec(kind="banked").build(60),
+        )
+        monkeypatch.setattr(os, "environ", _RecordingEnviron(os.environ, log))
+        routes = set()
+        for compiled, configs in machines:
+            for make_memory in memories:
+                for probes in (False, True):
+                    result = simulate(
+                        compiled, configs, make_memory(),
+                        probe_buffers=probes,
+                        probe_esw=probes and len(configs) == 2,
+                    )
+                    routes.add(result.telemetry.strategy)
+        assert routes == {
+            "uniform-table", "stateless-table", "speculative",
+            "events-chunked", "probing",
+        }
+        assert not log.exists(), log.read_text()
 
     def test_registered_programs_do_not_leak_across_sessions(self):
         a = Session(scale=SCALE)
@@ -281,7 +321,9 @@ class TestNoSharedState:
 class _RecordingEnviron(MutableMapping):
     """A process-environment stand-in that logs every write and every
     ``REPRO_*`` read, one ``pid<TAB>action<TAB>key`` line each, to an
-    append-only file shared with forked children."""
+    append-only file shared with forked children. A child forked while
+    it is installed logs one ``fork`` line on start (see
+    :func:`_log_fork`), which proves the stand-in reached it."""
 
     def __init__(self, initial, log) -> None:
         self._data = dict(initial)
@@ -312,6 +354,14 @@ class _RecordingEnviron(MutableMapping):
 
     def copy(self) -> dict:
         return dict(self._data)
+
+
+def _log_fork() -> None:
+    if isinstance(os.environ, _RecordingEnviron):
+        os.environ._record("fork", "-")
+
+
+os.register_at_fork(after_in_child=_log_fork)
 
 
 class TestBypassMeta:

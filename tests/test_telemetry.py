@@ -4,8 +4,9 @@ Covers the observability PR's guarantees end to end:
 
 * every result carries a :class:`~repro.obs.telemetry.RunTelemetry`
   with a known strategy label and exact counter attribution;
-* per-run counters sum to the global ``PERF_COUNTERS`` delta for the
-  scalar, event-heap and batched engines alike;
+* per-run counters sum to the session rollup for the scalar,
+  event-heap and batched engines alike (there is no process-global
+  aggregate: the per-result record is the only one);
 * a ``jobs=4`` pool sweep reports the same aggregated telemetry as the
   ``jobs=1`` run (pool workers ship counters home on their results);
 * persisted bytes stay telemetry-free while the store's telemetry
@@ -26,6 +27,7 @@ from repro.machines import engine
 from repro.obs import (
     COUNTER_KEYS,
     RunTelemetry,
+    add_counters,
     validate_trace,
     zero_counters,
 )
@@ -51,12 +53,13 @@ def _sweep(name: str = "telemetry", **axes) -> Sweep:
     )
 
 
-def _counter_delta(before: dict, after: dict) -> dict:
-    return {
-        key: after.get(key, 0) - before.get(key, 0)
-        for key in after
-        if after.get(key, 0) - before.get(key, 0)
-    }
+def _fresh_counter_sum(outcome) -> dict:
+    """Counters summed over a sweep's results, all freshly simulated."""
+    total = zero_counters()
+    for result in outcome.results:
+        assert result.telemetry.cache_tier == "fresh"
+        add_counters(total, result.telemetry.counters)
+    return total
 
 
 class TestRunTelemetry:
@@ -106,17 +109,15 @@ class TestEngineParity:
     """Scalar, event-heap and batched engines agree on everything."""
 
     def _run(self, sweep=None, **session_kwargs):
-        before = engine.counters_snapshot()
         session = Session(scale=SCALE, **session_kwargs)
         outcome = session.run(sweep or _sweep())
-        delta = _counter_delta(before, engine.counters_snapshot())
-        return session, outcome, delta
+        return session, outcome, _fresh_counter_sum(outcome)
 
     def test_results_and_counter_attribution_per_engine(self):
-        scalar, scalar_out, scalar_delta = self._run(batch=False)
-        batched, batched_out, batched_delta = self._run(batch=True)
+        scalar, scalar_out, scalar_sum = self._run(batch=False)
+        batched, batched_out, batched_sum = self._run(batch=True)
         # Banked memory is time-sensitive: routing sends it to the heap.
-        events, _, events_delta = self._run(
+        events, _, events_sum = self._run(
             _sweep(memory=(MemorySpec(kind="banked"),))
         )
 
@@ -134,40 +135,37 @@ class TestEngineParity:
             for s in events.telemetry()["strategies"]
         )
         assert "batch" in batched.telemetry()["strategies"]
-        assert batched_delta.get("batch_lanes", 0) >= 2
-        assert events_delta.get("event_runs", 0) >= 1
+        assert batched_sum["batch_lanes"] >= 2
+        assert events_sum["event_runs"] >= 1
 
-        # Per-run telemetry sums to the global delta, per engine.
-        for session, delta in (
-            (scalar, scalar_delta),
-            (events, events_delta),
-            (batched, batched_delta),
+        # The session rollup is the sum over its fresh results, per
+        # engine.
+        for session, summed in (
+            (scalar, scalar_sum),
+            (events, events_sum),
+            (batched, batched_sum),
         ):
-            summed = {
-                k: v for k, v in session.telemetry()["counters"].items()
-                if v
-            }
-            assert summed == delta
+            assert session.telemetry()["counters"] == summed
 
 
 class TestPoolParity:
     """jobs=4 reports the same aggregate telemetry as jobs=1."""
 
     def _run(self, jobs: int):
-        before = engine.counters_snapshot()
         session = Session(scale=SCALE, jobs=jobs)
         outcome = session.run(_sweep("pool"))
-        delta = _counter_delta(before, engine.counters_snapshot())
-        return session, outcome, delta
+        return session, outcome, _fresh_counter_sum(outcome)
 
     def test_pool_sweep_matches_serial_aggregates(self):
-        serial, serial_out, serial_delta = self._run(jobs=1)
-        pooled, pooled_out, pooled_delta = self._run(jobs=4)
+        serial, serial_out, serial_sum = self._run(jobs=1)
+        pooled, pooled_out, pooled_sum = self._run(jobs=4)
 
         assert serial_out.results == pooled_out.results
-        assert serial_delta == pooled_delta, (
+        assert serial_sum == pooled_sum, (
             "pool workers lost counter increments"
         )
+        assert serial.telemetry()["counters"] == serial_sum
+        assert pooled.telemetry()["counters"] == pooled_sum
         serial_agg = serial.telemetry()
         pooled_agg = pooled.telemetry()
         for key in ("runs", "counters", "strategies"):
@@ -342,3 +340,37 @@ class TestServiceMetrics:
         assert any(
             key.startswith("repro_http_requests_total") for key in samples
         )
+
+    def test_engine_counter_totals_sum_job_telemetry(self, service):
+        def totals() -> dict[str, float]:
+            samples = parse_prometheus(service.metrics())
+            return {
+                key: samples[
+                    f'repro_engine_counter_total{{counter="{key}"}}'
+                ]
+                for key in COUNTER_KEYS
+            }
+
+        # Every counter is listed, at zero, before the first job.
+        assert totals() == dict.fromkeys(COUNTER_KEYS, 0.0)
+        # A banked point routes to the event heap; a two-window sweep
+        # over fixed memory runs as one batch group.
+        banked = service.fetch(service.submit_point(
+            Point(program="flo52q", machine="dm", window=8,
+                  memory=MemorySpec(kind="banked"),
+                  memory_differential=60)
+        ), timeout=120)
+        batched = service.fetch(service.submit_sweep(
+            Sweep.grid(program="flo52q", machine="dm", window=(8, 16),
+                       memory_differential=60)
+        ), timeout=120)
+        expected = {
+            key: float(sum(
+                job["telemetry"]["counters"].get(key, 0)
+                for job in (banked, batched)
+            ))
+            for key in COUNTER_KEYS
+        }
+        assert expected["event_runs"] >= 1
+        assert expected["batch_lanes"] >= 2
+        assert totals() == expected

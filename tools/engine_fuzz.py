@@ -37,6 +37,7 @@ from repro.kernels import build_kernel  # noqa: E402
 from repro.machines import simulate, simulate_naive  # noqa: E402
 from repro.machines.batch import BatchLane, simulate_batch  # noqa: E402
 from repro.machines.engine import _simulate_events  # noqa: E402
+from repro.obs.telemetry import TelemetryCollector  # noqa: E402
 from repro.partition import Unit  # noqa: E402
 from repro.workloads import FAMILIES  # noqa: E402
 
@@ -90,6 +91,7 @@ def run_case(program_name: str, scale: int, md: int,
             events = _simulate_events(
                 compiled.lowered(), compiled, configs, spec.build(md),
                 DEFAULT_LATENCIES, collect_issue_times=True, max_cycles=None,
+                collector=TelemetryCollector(),
             )
             naive = simulate_naive(compiled, configs, spec.build(md))
             for engine_name, candidate in (
