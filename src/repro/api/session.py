@@ -30,7 +30,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import as_completed
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -39,7 +39,7 @@ from ..config import LatencyModel
 from ..ir import Program
 from ..ir.transforms import expand_code
 from ..kernels import build_kernel
-from ..machines import SimulationResult
+from ..machines import LoweredProgram, SimulationResult
 from ..machines.registry import get_machine
 from ..obs.telemetry import RunTelemetry, add_counters, zero_counters
 from ..obs.trace import SpanTracer
@@ -53,7 +53,7 @@ _UNSET = object()
 
 #: Version of the on-disk lowering-cache entries (bump on any change to
 #: what compilation derives from a program).
-_LOWERING_FORMAT = 1
+_LOWERING_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -246,9 +246,11 @@ class Session:
         key covers the *content* of the architectural program
         (:meth:`~repro.ir.Program.digest`), the machine family, the
         partition strategy and the latency model, and the entry stores
-        the machine program together with its SoA form and a
-        materialised steady-state analysis — so pool workers stop
-        re-deriving ``MachineProgram.lowered()`` for every sweep group.
+        the compiled program — its struct-of-arrays columns — with a
+        materialised steady-state analysis, so pool workers stop
+        recompiling and re-running the period search for every sweep
+        group. An entry in any other layout is a miss, not a partial
+        load.
         """
         key = (program, expansion, machine, partition)
         if key not in self._compiled:
@@ -301,13 +303,13 @@ class Session:
             return None
         try:
             with path.open("rb") as handle:
-                compiled, low = pickle.load(handle)
+                compiled = pickle.load(handle)
         except Exception:
             return None  # absent or corrupt: recompile
-        # MachineProgram pickles without its lowered form (it would
-        # double the payload of every result-store row); the cache
-        # entry carries the pair explicitly, so reattach.
-        compiled._lowered = low
+        if not isinstance(compiled, MachineProgram) or not isinstance(
+            getattr(compiled, "_low", None), LoweredProgram
+        ):
+            return None  # another layout: recompile, never half-load
         return compiled
 
     def _lowering_store(
@@ -316,19 +318,21 @@ class Session:
         path = self._lowering_path(source, machine, partition)
         if path is None or not isinstance(compiled, MachineProgram):
             return
-        low = compiled.lowered()
-        low.steady()  # materialise so loaders skip the period search
+        # Materialise the columns and the steady-state analysis so
+        # loaders skip both; a compiled program pickles as its columns.
+        compiled.lowered().steady()
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
             with tmp.open("wb") as handle:
                 pickle.dump(
-                    (compiled, low), handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
+                    compiled, handle, protocol=pickle.HIGHEST_PROTOCOL
                 )
             os.replace(tmp, path)
         except OSError:
-            pass  # cache is best-effort; simulation proceeds regardless
+            # The cache is best-effort; simulation proceeds regardless.
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
 
     # -- windows -----------------------------------------------------------------
 

@@ -4,6 +4,12 @@ A program is an immutable (by convention) list of instructions in
 program order together with summary statistics and dependence-graph
 helpers used by the partitioner, the machine models and the analytic
 sanity checks in the test-suite.
+
+Every whole-trace pass (address slicing, DM partitioning, SWSM
+lowering, characterization, the analytic timing bounds, validation)
+reads the trace through :attr:`Program.columns`, an integer
+struct-of-arrays view computed once per program, rather than through
+per-instruction attributes and enum lookups.
 """
 
 from __future__ import annotations
@@ -16,9 +22,16 @@ from functools import cached_property
 from ..config import DEFAULT_LATENCIES, LatencyModel
 from ..errors import IRValidationError
 from .instruction import Instruction
-from .types import OpClass, opcode_latency
+from .types import (
+    OP_FP,
+    OP_INT,
+    OP_LOAD,
+    OP_STORE,
+    OPCODE_CODES,
+    class_latencies,
+)
 
-__all__ = ["Program", "ProgramStats"]
+__all__ = ["Program", "ProgramStats", "TraceColumns"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +55,44 @@ class ProgramStats:
     @property
     def fp_fraction(self) -> float:
         return self.fp_ops / self.total if self.total else 0.0
+
+
+class TraceColumns:
+    """Integer column view of a trace, one entry per instruction.
+
+    Attributes:
+        op: op-class code (``OP_INT``, ``OP_FP``, ``OP_LOAD``,
+            ``OP_STORE`` from :mod:`repro.ir.types`), as ``bytes``.
+        lat_class: latency-class code (``LAT_INT``, ``LAT_FP``,
+            ``LAT_FP_LONG``, ``LAT_LOAD``, ``LAT_STORE``), as ``bytes``.
+        srcs: data-dependency tuples, as in ``Instruction.srcs``.
+        addr_src: address-producer index, ``-1`` for none.
+        addr: effective address, ``-1`` for none (addresses are
+            non-negative).
+        mem_dep: memory-ordering predecessor index, ``-1`` for none.
+        tags: per-instruction tag strings.
+    """
+
+    __slots__ = ("op", "lat_class", "srcs", "addr_src", "addr", "mem_dep",
+                 "tags")
+
+    def __init__(self, instructions: Sequence[Instruction]) -> None:
+        codes = [OPCODE_CODES[inst.opcode] for inst in instructions]
+        self.op = bytes(code[0] for code in codes)
+        self.lat_class = bytes(code[1] for code in codes)
+        self.srcs = [inst.srcs for inst in instructions]
+        self.addr_src = [
+            -1 if inst.addr_src is None else inst.addr_src
+            for inst in instructions
+        ]
+        self.addr = [
+            -1 if inst.addr is None else inst.addr for inst in instructions
+        ]
+        self.mem_dep = [
+            -1 if inst.mem_dep is None else inst.mem_dep
+            for inst in instructions
+        ]
+        self.tags = [inst.tag for inst in instructions]
 
 
 class Program(Sequence[Instruction]):
@@ -82,16 +133,19 @@ class Program(Sequence[Instruction]):
     # -- statistics ---------------------------------------------------------
 
     @cached_property
+    def columns(self) -> TraceColumns:
+        """The integer column view of the trace (computed once)."""
+        return TraceColumns(self.instructions)
+
+    @cached_property
     def stats(self) -> ProgramStats:
-        counts = {cls: 0 for cls in OpClass}
-        for inst in self.instructions:
-            counts[inst.op_class] += 1
+        op = self.columns.op
         return ProgramStats(
-            total=len(self.instructions),
-            int_ops=counts[OpClass.INT],
-            fp_ops=counts[OpClass.FP],
-            loads=counts[OpClass.LOAD],
-            stores=counts[OpClass.STORE],
+            total=len(op),
+            int_ops=op.count(OP_INT),
+            fp_ops=op.count(OP_FP),
+            loads=op.count(OP_LOAD),
+            stores=op.count(OP_STORE),
         )
 
     def digest(self) -> str:
@@ -130,33 +184,41 @@ class Program(Sequence[Instruction]):
 
     def validate(self) -> None:
         """Raise :class:`IRValidationError` unless the trace is well formed."""
+        cols = self.columns
+        op, addr, addr_src, mem_dep = (
+            cols.op, cols.addr, cols.addr_src, cols.mem_dep
+        )
         for i, inst in enumerate(self.instructions):
             if inst.index != i:
                 raise IRValidationError(
                     f"instruction at position {i} has index {inst.index}"
                 )
-            for dep in inst.all_deps():
+            deps = cols.srcs[i]
+            if addr_src[i] != -1:
+                deps = deps + (addr_src[i],)
+            if mem_dep[i] != -1:
+                deps = deps + (mem_dep[i],)
+            for dep in deps:
                 if not 0 <= dep < i:
                     raise IRValidationError(
                         f"instruction {i} depends on {dep}, which is not an "
                         "earlier instruction"
                     )
-            if inst.is_memory and inst.addr is None:
+            is_memory = op[i] >= OP_LOAD
+            if is_memory and addr[i] == -1:
                 raise IRValidationError(f"memory instruction {i} has no address")
-            if not inst.is_memory and inst.addr is not None:
+            if not is_memory and addr[i] != -1:
                 raise IRValidationError(
                     f"non-memory instruction {i} has an address"
                 )
-            if not inst.is_memory and inst.addr_src is not None:
+            if not is_memory and addr_src[i] != -1:
                 raise IRValidationError(
                     f"non-memory instruction {i} has an address dependency"
                 )
-            if inst.mem_dep is not None:
-                dep_inst = self.instructions[inst.mem_dep]
-                if dep_inst.op_class is not OpClass.STORE:
-                    raise IRValidationError(
-                        f"mem_dep of instruction {i} is not a store"
-                    )
+            if mem_dep[i] != -1 and op[mem_dep[i]] != OP_STORE:
+                raise IRValidationError(
+                    f"mem_dep of instruction {i} is not a store"
+                )
 
     # -- analytic timing bounds ----------------------------------------------
 
@@ -174,17 +236,24 @@ class Program(Sequence[Instruction]):
         """
         if memory_differential < 0:
             raise IRValidationError("memory differential must be >= 0")
-        finish = [0] * len(self.instructions)
+        cols = self.columns
+        cost = class_latencies(latencies, memory_differential)
+        finish = [0] * len(cols.op)
         longest = 0
-        for inst in self.instructions:
+        for i, (srcs, addr_src, mem_dep, lat_class) in enumerate(zip(
+            cols.srcs, cols.addr_src, cols.mem_dep, cols.lat_class
+        )):
             start = 0
-            for dep in inst.all_deps():
+            for dep in srcs:
                 if finish[dep] > start:
                     start = finish[dep]
-            cost = self._serial_cost(inst, memory_differential, latencies)
-            finish[inst.index] = start + cost
-            if finish[inst.index] > longest:
-                longest = finish[inst.index]
+            if addr_src >= 0 and finish[addr_src] > start:
+                start = finish[addr_src]
+            if mem_dep >= 0 and finish[mem_dep] > start:
+                start = finish[mem_dep]
+            done = finish[i] = start + cost[lat_class]
+            if done > longest:
+                longest = done
         return longest
 
     def serial_time(
@@ -200,17 +269,8 @@ class Program(Sequence[Instruction]):
         """
         if memory_differential < 0:
             raise IRValidationError("memory differential must be >= 0")
+        lat_class = self.columns.lat_class
+        cost = class_latencies(latencies, memory_differential)
         return sum(
-            self._serial_cost(inst, memory_differential, latencies)
-            for inst in self.instructions
+            cost[code] * lat_class.count(code) for code in range(len(cost))
         )
-
-    @staticmethod
-    def _serial_cost(
-        inst: Instruction, memory_differential: int, latencies: LatencyModel
-    ) -> int:
-        if inst.op_class is OpClass.LOAD:
-            return latencies.mem_base + memory_differential
-        if inst.op_class is OpClass.STORE:
-            return latencies.store
-        return opcode_latency(inst.opcode, latencies)

@@ -14,7 +14,14 @@ import enum
 from ..config import LatencyModel
 from ..errors import IRValidationError
 
-__all__ = ["OpClass", "Opcode", "OPCODE_CLASS", "opcode_latency"]
+__all__ = [
+    "OpClass",
+    "Opcode",
+    "OPCODE_CLASS",
+    "OPCODE_CODES",
+    "class_latencies",
+    "opcode_latency",
+]
 
 
 class OpClass(enum.Enum):
@@ -89,6 +96,44 @@ OPCODE_CLASS: dict[Opcode, OpClass] = {
 
 _LONG_FP = frozenset({Opcode.FDIV, Opcode.FSQRT})
 
+# Integer codes of the trace columns (:attr:`repro.ir.Program.columns`).
+#: Op-class codes, in :class:`OpClass` order.
+OP_INT, OP_FP, OP_LOAD, OP_STORE = range(4)
+#: Latency-class codes: which latency-model field an opcode costs
+#: (the index into :func:`class_latencies`).
+LAT_INT, LAT_FP, LAT_FP_LONG, LAT_LOAD, LAT_STORE = range(5)
+
+_OP_CODE = {OpClass.INT: OP_INT, OpClass.FP: OP_FP,
+            OpClass.LOAD: OP_LOAD, OpClass.STORE: OP_STORE}
+_LAT_CODE = {OpClass.INT: LAT_INT, OpClass.FP: LAT_FP,
+             OpClass.LOAD: LAT_LOAD, OpClass.STORE: LAT_STORE}
+
+#: Opcode -> (op-class code, latency-class code).
+OPCODE_CODES: dict[Opcode, tuple[int, int]] = {
+    opcode: (
+        _OP_CODE[cls],
+        LAT_FP_LONG if opcode in _LONG_FP else _LAT_CODE[cls],
+    )
+    for opcode, cls in OPCODE_CLASS.items()
+}
+
+
+def class_latencies(
+    latencies: LatencyModel, memory_differential: int = 0
+) -> tuple[int, ...]:
+    """Cycles per latency class, indexed by the ``LAT_*`` codes.
+
+    The memory classes carry the serial reference's costs: a load takes
+    ``mem_base + memory_differential``, a store ``latencies.store``.
+    """
+    return (
+        latencies.int_op,
+        latencies.fp_op,
+        latencies.fp_div,
+        latencies.mem_base + memory_differential,
+        latencies.store,
+    )
+
 
 def opcode_latency(opcode: Opcode, latencies: LatencyModel) -> int:
     """Execution latency of an architectural opcode.
@@ -97,12 +142,10 @@ def opcode_latency(opcode: Opcode, latencies: LatencyModel) -> int:
     the machine and the memory differential), so asking for one is an
     error; the machine models compute memory timing themselves.
     """
-    op_class = OPCODE_CLASS[opcode]
-    if op_class is OpClass.INT:
-        return latencies.int_op
-    if op_class is OpClass.FP:
-        return latencies.fp_div if opcode in _LONG_FP else latencies.fp_op
-    raise IRValidationError(
-        f"opcode {opcode.value!r} is a memory operation; its latency is "
-        "machine-dependent"
-    )
+    op_code, lat_class = OPCODE_CODES[opcode]
+    if op_code >= OP_LOAD:
+        raise IRValidationError(
+            f"opcode {opcode.value!r} is a memory operation; its latency is "
+            "machine-dependent"
+        )
+    return class_latencies(latencies)[lat_class]

@@ -8,9 +8,10 @@ memory accesses that deliver ``mem_base + extra`` cycles after issue,
 where ``extra`` comes from the pluggable
 :class:`~repro.memory.MemorySystem`.
 
-The engine never walks per-instruction objects: programs are lowered
-once into flat parallel arrays (:mod:`repro.machines.lowered`, cached
-on the :class:`~repro.partition.machine_program.MachineProgram`), and
+The engine never walks per-instruction objects: it schedules over the
+flat parallel arrays of :mod:`repro.machines.lowered`, which a compiled
+:class:`~repro.partition.machine_program.MachineProgram` is a view
+over (:meth:`~repro.partition.machine_program.MachineProgram.lowered`), and
 the dispatch/issue loop runs over integer arrays and integer-encoded
 ready queues. The memory system is queried exclusively through the
 batched :meth:`~repro.memory.MemorySystem.latencies` protocol — there

@@ -1,15 +1,21 @@
-"""Struct-of-arrays lowering of machine programs for the engine.
+"""Struct-of-arrays form of machine programs: what the engine schedules.
 
-:class:`~repro.partition.machine_program.MachineProgram` stores one
-dataclass object per instruction — convenient to build, validate and
-inspect, but slow to walk millions of times. :func:`lower_program`
-flattens a program *once* into parallel integer arrays (the
-struct-of-arrays form): timing mode, latency, memory address,
-dependency counts, a consumer adjacency table and per-unit gid
-streams. The engine (:mod:`repro.machines.engine`) schedules directly
-over these arrays; the lowered form is cached on the program
-(:meth:`MachineProgram.lowered`), so one compile serves every window
-size and memory differential of a sweep.
+A :class:`LoweredProgram` is a machine program as parallel integer
+arrays: timing mode, latency, memory address, dependency counts, a
+consumer adjacency table and per-unit gid streams. The engine
+(:mod:`repro.machines.engine`) schedules directly over these arrays,
+and one lowered program serves every window size and memory
+differential of a sweep.
+
+Everything is built by one :class:`ColumnBuilder`. The compilers
+(:func:`~repro.partition.partition_dm`,
+:func:`~repro.partition.lower_swsm`) append one row per machine
+instruction to it straight from the trace's integer columns, so a
+compiled :class:`~repro.partition.machine_program.MachineProgram` *is*
+its lowered form (:meth:`MachineProgram.lowered`) and no
+per-instruction objects exist on the compile path.
+:func:`lower_program` feeds the same builder from hand-built
+:class:`~repro.partition.machine_program.MachineInstruction` streams.
 
 Lowering also computes two engine accelerator inputs:
 
@@ -39,11 +45,17 @@ right unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from array import array
+from dataclasses import dataclass
+from itertools import compress
 
 from ..errors import SimulationError
-from ..partition.machine_program import MachineProgram, MemKind
+from ..partition.machine_program import (
+    KIND_CODE,
+    MEM_KINDS,
+    MachineProgram,
+    MemKind,
+)
 
 __all__ = [
     "MODE_LATENCY",
@@ -52,6 +64,7 @@ __all__ = [
     "KIND_MODE",
     "SteadyState",
     "LoweredProgram",
+    "ColumnBuilder",
     "lower_program",
 ]
 
@@ -79,6 +92,26 @@ CONSUMER_KINDS = frozenset({MemKind.RECEIVE, MemKind.ACCESS_LOAD})
 
 #: Kinds that deliver a datum into the decoupled/prefetch buffer.
 DELIVERING_KINDS = frozenset({MemKind.LOAD_ISSUE, MemKind.PREFETCH_LOAD})
+
+
+def _kind_table(value) -> bytes:
+    """A ``bytes.translate`` table mapping each kind code to ``value(kind)``."""
+    return bytes(value(kind) for kind in MEM_KINDS) + bytes(
+        256 - len(MEM_KINDS)
+    )
+
+
+_KIND_MODE_TABLE = _kind_table(KIND_MODE.__getitem__)
+_MEMORY_TABLE = _kind_table(lambda k: KIND_MODE[k] == MODE_MEMORY)
+_LATENCY_TABLE = _kind_table(lambda k: KIND_MODE[k] == MODE_LATENCY)
+_ESTABLISH_TABLE = _kind_table(lambda k: KIND_MODE[k] == MODE_ESTABLISH)
+_CONSUMES_TABLE = _kind_table(lambda k: k in CONSUMER_KINDS)
+_DELIVERS_TABLE = _kind_table(lambda k: k in DELIVERING_KINDS)
+
+
+def _selector(value: int) -> bytes:
+    """A ``bytes.translate`` table mapping ``value`` to 1, all else to 0."""
+    return bytes(b == value for b in range(256))
 
 #: Boundary stride floor for steady-state checkpoints, in gids. Very
 #: short loop bodies are checked at a multiple of their period so the
@@ -268,33 +301,122 @@ class LoweredProgram:
         return None
 
 
-def lower_program(program: MachineProgram) -> LoweredProgram:
-    """Flatten ``program`` into its struct-of-arrays form.
+class ColumnBuilder:
+    """Builds a :class:`LoweredProgram` one machine instruction at a time.
 
-    Prefer :meth:`MachineProgram.lowered`, which caches the result on
-    the program; this function always builds a fresh instance.
+    The compilers (:func:`repro.partition.partition_dm`,
+    :func:`repro.partition.lower_swsm`) and :func:`lower_program` append
+    one row per gid, in gid order, to ``rows``::
+
+        (unit index, kind code, latency, src gids, address, orig index)
+
+    where the unit index points into ``units``, the kind code is the
+    instruction's :data:`~repro.partition.machine_program.KIND_CODE`
+    and the address is ``0`` for none. :meth:`finish` derives every
+    other column from those six.
+    """
+
+    __slots__ = ("units", "rows")
+
+    def __init__(self, units) -> None:
+        self.units = tuple(units)
+        self.rows: list[tuple] = []
+
+    def program(
+        self, name: str, tags: list[str], meta: dict[str, object]
+    ) -> MachineProgram:
+        """The finished columns as a :class:`MachineProgram` view.
+
+        ``tags`` is the source trace's per-instruction tag list, read
+        through each gid's orig index.
+        """
+        low, kinds = self.finish()
+        return MachineProgram.from_columns(name, low, kinds, tags, meta)
+
+    def finish(
+        self, stream_gids: list[list[int]] | None = None
+    ) -> tuple[LoweredProgram, bytes]:
+        """The lowered program and its per-gid kind codes.
+
+        ``stream_gids`` (per-unit dispatch order) defaults to gid order.
+        """
+        total = len(self.rows)
+        unit_index, kind, lat, srcs, addr, orig = (
+            map(list, zip(*self.rows)) if total else ([] for _ in range(6))
+        )
+        kinds = bytes(kind)
+        gids = range(total)
+        low = LoweredProgram()
+        low.total = total
+        low.units = self.units
+        low.unit_index = unit_index
+        if stream_gids is None:
+            units = bytes(unit_index)
+            stream_gids = [
+                list(compress(gids, units.translate(_selector(ui))))
+                for ui in range(len(self.units))
+            ]
+        low.stream_gids = stream_gids
+        low.n_srcs = list(map(len, srcs))
+        low.src_off = [tuple(map(g.__sub__, s)) for g, s in zip(gids, srcs)]
+        floor = total or 1
+        low.min_dep_offset = min(
+            floor, min(map(min, filter(None, low.src_off)), default=floor)
+        )
+        low.dep_span = max(
+            0, max(map(max, filter(None, low.src_off)), default=0)
+        )
+        low.mode = list(kinds.translate(_KIND_MODE_TABLE))
+        low.lat = lat
+        low.addr = addr
+        low.orig_index = orig
+        low.base_addlat = lat.copy()
+        for gid in compress(gids, kinds.translate(_ESTABLISH_TABLE)):
+            low.base_addlat[gid] = 1
+        low.is_mem = bytearray(kinds.translate(_MEMORY_TABLE))
+        low.memory_gids = list(compress(gids, low.is_mem))
+        low.mem_units = tuple(sorted({unit_index[g] for g in low.memory_gids}))
+        low.delivers = bytearray(kinds.translate(_DELIVERS_TABLE))
+        low.min_latency = min(
+            1, min(compress(lat, kinds.translate(_LATENCY_TABLE)), default=1)
+        )
+        # Consumer lists in stream order, unit by unit.
+        consumers: list[list[int]] = [[] for _ in gids]
+        for stream in stream_gids:
+            for gid in stream:
+                for dep in srcs[gid]:
+                    consumers[dep].append(gid)
+        low.cons = list(map(tuple, consumers))
+        low.pair = [-1] * total
+        unpaired = set()
+        for gid in compress(gids, kinds.translate(_CONSUMES_TABLE)):
+            if srcs[gid]:
+                low.pair[gid] = srcs[gid][0]
+            else:
+                unpaired.add(gid)
+        # In stream order: the buffer probe reports the first one.
+        low.pair_missing = tuple(
+            (gid, MEM_KINDS[kinds[gid]].value)
+            for stream in (stream_gids if unpaired else ())
+            for gid in stream
+            if gid in unpaired
+        )
+        return low, kinds
+
+
+def lower_program(program: MachineProgram) -> LoweredProgram:
+    """Flatten hand-built ``program`` streams into struct-of-arrays form.
+
+    The compilers write the columns directly; this feeds a program built
+    from :class:`~repro.partition.machine_program.MachineInstruction`
+    streams through the same :class:`ColumnBuilder`. Prefer
+    :meth:`MachineProgram.lowered`, which caches the result on the
+    program; this function always builds a fresh instance.
     """
     total = program.num_instructions
     units = program.units
-    low = LoweredProgram()
-    low.total = total
-    low.units = units
-    low.n_srcs = [0] * total
-    low.src_off = [()] * total
-    low.mode = [0] * total
-    low.lat = [0] * total
-    low.addr = [0] * total
-    low.unit_index = [0] * total
-    low.orig_index = [-1] * total
-    low.pair = [-1] * total
-    low.delivers = bytearray(total)
+    rows: list = [None] * total
     stream_gids: list[list[int]] = []
-    pair_missing: list[tuple[int, str]] = []
-    consumers: list[list[int]] = [[] for _ in range(total)]
-    seen = bytearray(total)
-    min_latency = 1
-    min_dep_offset = total or 1
-    dep_span = 0
     for ui, unit in enumerate(units):
         gids: list[int] = []
         for inst in program.stream(unit):
@@ -304,50 +426,21 @@ def lower_program(program: MachineProgram) -> LoweredProgram:
                     f"gid {gid} out of range; lowering must assign "
                     "contiguous gids"
                 )
-            if seen[gid]:
+            if rows[gid] is not None:
                 raise SimulationError(f"duplicate gid {gid} in streams")
-            seen[gid] = 1
+            rows[gid] = (ui, inst)
             gids.append(gid)
-            srcs = inst.srcs
-            mode = KIND_MODE[inst.mem_kind]
-            low.n_srcs[gid] = len(srcs)
-            low.src_off[gid] = tuple(gid - dep for dep in srcs)
-            low.mode[gid] = mode
-            low.lat[gid] = inst.latency
-            low.addr[gid] = inst.addr if inst.addr is not None else 0
-            low.unit_index[gid] = ui
-            low.orig_index[gid] = inst.orig_index
-            if mode == MODE_LATENCY and inst.latency < min_latency:
-                min_latency = inst.latency
-            for dep in srcs:
-                consumers[dep].append(gid)
-                offset = gid - dep
-                if offset < min_dep_offset:
-                    min_dep_offset = offset
-                if offset > dep_span:
-                    dep_span = offset
-            if inst.mem_kind in CONSUMER_KINDS:
-                if srcs:
-                    low.pair[gid] = srcs[0]
-                else:
-                    pair_missing.append((gid, inst.mem_kind.value))
-            if inst.mem_kind in DELIVERING_KINDS:
-                low.delivers[gid] = 1
         stream_gids.append(gids)
-    low.stream_gids = stream_gids
-    low.cons = [tuple(c) for c in consumers]
-    low.base_addlat = [
-        1 if m == MODE_ESTABLISH else v for m, v in zip(low.mode, low.lat)
+    builder = ColumnBuilder(units)
+    builder.rows = [
+        (
+            ui,
+            KIND_CODE[inst.mem_kind],
+            inst.latency,
+            inst.srcs,
+            inst.addr if inst.addr is not None else 0,
+            inst.orig_index,
+        )
+        for ui, inst in rows
     ]
-    low.memory_gids = [g for g in range(total) if low.mode[g] == MODE_MEMORY]
-    low.mem_units = tuple(
-        sorted({low.unit_index[g] for g in low.memory_gids})
-    )
-    low.is_mem = bytearray(total)
-    for g in low.memory_gids:
-        low.is_mem[g] = 1
-    low.min_latency = min_latency
-    low.min_dep_offset = min_dep_offset
-    low.dep_span = dep_span
-    low.pair_missing = tuple(pair_missing)
-    return low
+    return builder.finish(stream_gids)[0]

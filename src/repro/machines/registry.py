@@ -104,9 +104,7 @@ class DecoupledModel:
     def compile(
         self, program: Program, point: "Point", latencies: LatencyModel
     ) -> MachineProgram:
-        compiled = partition_with_strategy(program, point.partition, latencies)
-        compiled.lowered()  # build the SoA form once, not per simulation
-        return compiled
+        return partition_with_strategy(program, point.partition, latencies)
 
     def simulate(
         self,
@@ -163,9 +161,7 @@ class SuperscalarModel:
     def compile(
         self, program: Program, point: "Point", latencies: LatencyModel
     ) -> MachineProgram:
-        compiled = SuperscalarMachine.compile(program, latencies)
-        compiled.lowered()  # build the SoA form once, not per simulation
-        return compiled
+        return SuperscalarMachine.compile(program, latencies)
 
     def simulate(
         self,

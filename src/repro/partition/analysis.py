@@ -9,8 +9,10 @@ computation depends on data computation, forcing the AU to wait.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from ..ir import OpClass, Program
+from ..ir import Program
+from ..ir.types import OP_FP, OP_INT, OP_LOAD
 from .static_partition import AddressSlice, compute_address_slice
 
 __all__ = ["DecouplingReport", "analyze_decoupling"]
@@ -60,30 +62,26 @@ def analyze_decoupling(
     if address_slice is None:
         address_slice = compute_address_slice(program)
 
-    au = 0
+    cols = program.columns
+    op, all_srcs = cols.op, cols.srcs
+    au_mask, _ = address_slice.masks(len(op))
+    # Loads and the address half of stores run on the AU; the data half
+    # of a store is charged to the DU.
+    au = len(op) - op.count(OP_INT) - op.count(OP_FP)
     lod_sources: set[int] = set()
-    for inst in program:
-        if inst.op_class is OpClass.INT:
-            if inst.index in address_slice.au_int:
-                au += 1
-                # An AU integer op reading a DU-resident value is a
-                # DU -> AU crossing: FP producers and non-slice INT
-                # producers live on the DU.
-                for src in inst.srcs:
-                    producer = program[src]
-                    if producer.op_class is OpClass.FP or (
-                        producer.op_class is OpClass.INT
-                        and src not in address_slice.au_int
-                    ):
-                        lod_sources.add(src)
-        elif inst.op_class is OpClass.LOAD:
-            au += 1
-            if inst.addr_src is not None:
-                producer = program[inst.addr_src]
-                if producer.op_class is OpClass.FP:
-                    lod_sources.add(inst.addr_src)
-        elif inst.op_class is OpClass.STORE:
-            au += 1  # the address half; the data half is charged to the DU
+    for index in compress(range(len(op)), au_mask):
+        if op[index] != OP_INT:
+            continue
+        au += 1
+        # An AU integer op reading a DU-resident value is a DU -> AU
+        # crossing: FP producers and non-slice INT producers live on
+        # the DU.
+        for src in all_srcs[index]:
+            if op[src] == OP_FP or (op[src] == OP_INT and not au_mask[src]):
+                lod_sources.add(src)
+    for op_code, addr_src in zip(op, cols.addr_src):
+        if op_code == OP_LOAD and addr_src >= 0 and op[addr_src] == OP_FP:
+            lod_sources.add(addr_src)
 
     return DecouplingReport(
         name=program.name,

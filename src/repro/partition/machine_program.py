@@ -6,6 +6,16 @@ the single-window superscalar machine (SWSM) gets one. Machine
 instructions reference each other by *global id* (gid), which is
 assigned in program order across all streams so that it doubles as an
 age for oldest-first issue and for effective-single-window analysis.
+
+A compiled :class:`MachineProgram` is a view over the engine's
+struct-of-arrays columns (:class:`~repro.machines.lowered.LoweredProgram`)
+plus a per-gid :class:`MemKind` code: the compilers write those columns
+directly, and the per-instruction :class:`MachineInstruction` streams
+(``streams``, ``stream(unit)``, ``by_gid``, ``consumers``) are
+materialised only on demand, for the naive oracle and for inspection.
+Hand-built programs — ``MachineProgram(name, streams, meta)`` — keep
+their streams and are flattened into columns on first
+:meth:`~MachineProgram.lowered` call.
 """
 
 from __future__ import annotations
@@ -16,7 +26,14 @@ from functools import cached_property
 
 from ..errors import PartitionError
 
-__all__ = ["Unit", "MemKind", "MachineInstruction", "MachineProgram"]
+__all__ = [
+    "Unit",
+    "MemKind",
+    "MEM_KINDS",
+    "KIND_CODE",
+    "MachineInstruction",
+    "MachineProgram",
+]
 
 
 class Unit(enum.Enum):
@@ -65,6 +82,13 @@ class MemKind(enum.Enum):
     ACCESS_STORE = "access_store"
 
 
+#: Every kind, indexed by its integer code in the per-gid kind column.
+MEM_KINDS: tuple[MemKind, ...] = tuple(MemKind)
+KIND_CODE: dict[MemKind, int] = {kind: code for code, kind in enumerate(MEM_KINDS)}
+
+#: Kind codes that carry no effective address.
+_NO_ADDRESS = frozenset({KIND_CODE[MemKind.NONE], KIND_CODE[MemKind.COPY]})
+
 #: Kinds whose result-availability depends on the memory differential.
 MEMORY_KINDS = frozenset(
     {MemKind.LOAD_ISSUE, MemKind.SELF_LOAD, MemKind.PREFETCH_LOAD}
@@ -105,7 +129,13 @@ class MachineInstruction:
 
 
 class MachineProgram:
-    """Unit-tagged instruction streams plus cross-stream dependencies."""
+    """Unit-tagged instruction streams plus cross-stream dependencies.
+
+    ``MachineProgram(name, streams, meta)`` wraps hand-built streams;
+    the compilers build programs with :meth:`from_columns` instead.
+    Either way ``lowered()`` returns the struct-of-arrays columns and
+    ``streams`` the per-instruction view.
+    """
 
     def __init__(
         self,
@@ -114,39 +144,87 @@ class MachineProgram:
         meta: dict[str, object] | None = None,
     ) -> None:
         self.name = name
-        self.streams = streams
         self.meta: dict[str, object] = dict(meta or {})
+        self.streams = streams
+        self.units: tuple[Unit, ...] = tuple(streams)
         self.num_instructions = sum(len(s) for s in streams.values())
-        self._lowered = None
+        self._low = None
+        self._kinds: bytes | None = None
+        self._tags: list[str] | None = None
 
-    @property
-    def units(self) -> tuple[Unit, ...]:
-        return tuple(self.streams)
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        low,
+        kinds: bytes,
+        tags: list[str],
+        meta: dict[str, object] | None = None,
+    ) -> "MachineProgram":
+        """A program whose columns are ``low``.
+
+        ``kinds`` holds each gid's :data:`KIND_CODE`; ``tags`` is the
+        source trace's per-instruction tag list, indexed by each gid's
+        ``orig_index``.
+        """
+        program = cls.__new__(cls)
+        program.name = name
+        program.meta = dict(meta or {})
+        program.units = low.units
+        program.num_instructions = low.total
+        program._low = low
+        program._kinds = kinds
+        program._tags = tags
+        return program
+
+    @cached_property
+    def streams(self) -> dict[Unit, list[MachineInstruction]]:
+        """Per-unit instruction lists, materialised from the columns."""
+        low, kinds, tags = self._low, self._kinds, self._tags
+        out: dict[Unit, list[MachineInstruction]] = {}
+        for unit, gids in zip(self.units, low.stream_gids):
+            out[unit] = [
+                MachineInstruction(
+                    gid=gid,
+                    unit=unit,
+                    mem_kind=MEM_KINDS[kinds[gid]],
+                    latency=low.lat[gid],
+                    srcs=tuple(gid - off for off in low.src_off[gid]),
+                    addr=None if kinds[gid] in _NO_ADDRESS else low.addr[gid],
+                    orig_index=low.orig_index[gid],
+                    tag=tags[low.orig_index[gid]],
+                )
+                for gid in gids
+            ]
+        return out
 
     def stream(self, unit: Unit) -> list[MachineInstruction]:
         return self.streams[unit]
 
     def lowered(self):
-        """The cached struct-of-arrays form the engine schedules over.
+        """The struct-of-arrays columns the engine schedules over.
 
-        Built on first use (or eagerly by the machine registry's
-        ``compile``) and reused across every window size and memory
-        differential; see :mod:`repro.machines.lowered`. Streams must
-        not be mutated after the first call.
+        Compiled programs are their columns; a hand-built program is
+        flattened by :func:`~repro.machines.lowered.lower_program` on
+        first use. Either way the result serves every window size and
+        memory differential. Hand-built streams must not be mutated
+        after the first call.
         """
-        low = self._lowered
+        low = self._low
         if low is None:
             from ..machines.lowered import lower_program
 
-            low = self._lowered = lower_program(self)
+            low = self._low = lower_program(self)
         return low
 
     def __getstate__(self) -> dict[str, object]:
-        # The lowered form is derived data and can be large; rebuild it
-        # after unpickling (e.g. in process-pool workers) instead of
-        # shipping it.
+        # The per-instruction views are derived data; a compiled
+        # program ships its columns only.
         state = self.__dict__.copy()
-        state["_lowered"] = None
+        state.pop("by_gid", None)
+        state.pop("consumers", None)
+        if self._kinds is not None:
+            state.pop("streams", None)
         return state
 
     @cached_property
@@ -175,6 +253,9 @@ class MachineProgram:
         order is program order). Dependencies must reference existing,
         older instructions.
         """
+        if self._kinds is not None:
+            self._validate_columns()
+            return
         table = self.by_gid
         for unit, stream in self.streams.items():
             previous = -1
@@ -200,5 +281,25 @@ class MachineProgram:
                             f"gid={inst.gid} depends on younger gid={dep}"
                         )
 
+    def _validate_columns(self) -> None:
+        """:meth:`validate` for compiled programs, over the columns.
+
+        Column gids are contiguous, unique, unit-tagged and listed in
+        increasing order per stream by construction, which leaves the
+        dependence direction to check.
+        """
+        low = self._low
+        if low.min_dep_offset >= 1:
+            return
+        for gid, offsets in enumerate(low.src_off):
+            for off in offsets:
+                if off < 1:
+                    raise PartitionError(
+                        f"gid={gid} depends on younger gid={gid - off}"
+                    )
+
     def unit_counts(self) -> dict[Unit, int]:
-        return {unit: len(stream) for unit, stream in self.streams.items()}
+        return {
+            unit: len(gids)
+            for unit, gids in zip(self.units, self.lowered().stream_gids)
+        }

@@ -21,17 +21,32 @@ DU to catch up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from functools import cached_property
+from itertools import compress, count
 
 from ..config import DEFAULT_LATENCIES, LatencyModel
 from ..errors import PartitionError
-from ..ir import OpClass, Program, opcode_latency
-from .machine_program import MachineInstruction, MachineProgram, MemKind, Unit
+from ..ir import Program
+from ..ir.types import OP_FP, OP_INT, OP_LOAD, OP_STORE, class_latencies
+from .machine_program import KIND_CODE, MachineProgram, MemKind, Unit
 
 __all__ = ["AddressSlice", "compute_address_slice", "partition_dm"]
 
+#: Unit indices of the DM program (its stream order) and the ``needs``
+#: bit each sets; ``_NO_VALUE`` is a store's home (it produces nothing).
+_AU, _DU, _NO_VALUE = 0, 1, 2
+_UNITS = (Unit.AU, Unit.DU)
 
-@dataclass(frozen=True)
+_NONE = KIND_CODE[MemKind.NONE]
+_COPY = KIND_CODE[MemKind.COPY]
+_SELF_LOAD = KIND_CODE[MemKind.SELF_LOAD]
+_LOAD_ISSUE = KIND_CODE[MemKind.LOAD_ISSUE]
+_RECEIVE = KIND_CODE[MemKind.RECEIVE]
+_STORE_ADDR = KIND_CODE[MemKind.STORE_ADDR]
+_STORE_DATA = KIND_CODE[MemKind.STORE_DATA]
+
+
 class AddressSlice:
     """The AU-resident part of a program.
 
@@ -39,13 +54,66 @@ class AddressSlice:
         au_int: indices of integer instructions in the address slice.
         self_loads: indices of loads whose values feed address
             computation (executed as AU self-loads).
+
+    :func:`compute_address_slice` builds slices from per-instruction
+    byte masks (:meth:`from_masks`), which is the form the partitioner
+    reads through :meth:`masks`; the frozenset attributes are then
+    views computed on first access.
     """
 
-    au_int: frozenset[int]
-    self_loads: frozenset[int]
+    def __init__(
+        self, au_int: Iterable[int] = (), self_loads: Iterable[int] = ()
+    ) -> None:
+        self.au_int = frozenset(au_int)
+        self.self_loads = frozenset(self_loads)
+        self._masks: tuple[bytearray, bytearray] | None = None
+
+    @classmethod
+    def from_masks(
+        cls, au_mask: bytearray, self_mask: bytearray
+    ) -> AddressSlice:
+        """A slice from two equal-length masks (``1`` marks a member)."""
+        address_slice = cls.__new__(cls)
+        address_slice._masks = (au_mask, self_mask)
+        return address_slice
+
+    @cached_property
+    def au_int(self) -> frozenset[int]:
+        return frozenset(compress(count(), self._masks[0]))
+
+    @cached_property
+    def self_loads(self) -> frozenset[int]:
+        return frozenset(compress(count(), self._masks[1]))
+
+    def masks(self, size: int) -> tuple[bytearray, bytearray]:
+        """``(au_int, self_loads)`` as masks over instructions ``0..size-1``."""
+        if self._masks is not None and len(self._masks[0]) == size:
+            return self._masks
+        out = []
+        for members in (self.au_int, self.self_loads):
+            mask = bytearray(size)
+            for index in members:
+                if 0 <= index < size:
+                    mask[index] = 1
+            out.append(mask)
+        return out[0], out[1]
 
     def owns(self, index: int) -> bool:
         return index in self.au_int or index in self.self_loads
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AddressSlice):
+            return NotImplemented
+        return (self.au_int, self.self_loads) == (other.au_int, other.self_loads)
+
+    def __hash__(self) -> int:
+        return hash((self.au_int, self.self_loads))
+
+    def __repr__(self) -> str:
+        return (
+            f"AddressSlice(au_int={self.au_int!r}, "
+            f"self_loads={self.self_loads!r})"
+        )
 
 
 def compute_address_slice(program: Program) -> AddressSlice:
@@ -55,64 +123,69 @@ def compute_address_slice(program: Program) -> AddressSlice:
     floating-point producer terminates the slice (its value will be
     copied from the DU), and a load producer becomes a self-load (its
     own address slice is walked independently, because every memory
-    operation's address operand is a root).
+    operation's address operand is a root). Producers precede their
+    consumers, so one sweep from the end of the trace closes the slice.
     """
-    au_int: set[int] = set()
-    self_loads: set[int] = set()
-    worklist = [
-        inst.addr_src
-        for inst in program
-        if inst.is_memory and inst.addr_src is not None
-    ]
-    while worklist:
-        index = worklist.pop()
-        producer = program[index]
-        if producer.op_class is OpClass.INT:
-            if index not in au_int:
-                au_int.add(index)
-                worklist.extend(producer.srcs)
-        elif producer.op_class is OpClass.LOAD:
-            self_loads.add(index)
-        # FP producers terminate the walk: the value crosses DU -> AU.
-    return AddressSlice(au_int=frozenset(au_int), self_loads=frozenset(self_loads))
+    cols = program.columns
+    op, srcs = cols.op, cols.srcs
+    size = len(op)
+    wanted = bytearray(size)
+    for addr_src, op_code in zip(cols.addr_src, op):
+        if addr_src >= 0 and op_code >= OP_LOAD:
+            wanted[addr_src] = 1
+    au_mask = bytearray(size)
+    self_mask = bytearray(size)
+    for index in range(size - 1, -1, -1):
+        if wanted[index]:
+            op_code = op[index]
+            if op_code == OP_INT:
+                au_mask[index] = 1
+                for src in srcs[index]:
+                    wanted[src] = 1
+            elif op_code == OP_LOAD:
+                self_mask[index] = 1
+            # FP producers terminate the walk: the value crosses DU -> AU.
+    return AddressSlice.from_masks(au_mask, self_mask)
 
 
-def _producer_unit(program: Program, index: int, address_slice: AddressSlice) -> Unit:
-    """Home unit of the value produced by architectural instruction ``index``."""
-    op_class = program[index].op_class
-    if op_class is OpClass.INT:
-        return Unit.AU if index in address_slice.au_int else Unit.DU
-    if op_class is OpClass.FP:
-        return Unit.DU
-    if op_class is OpClass.LOAD:
-        return Unit.AU if index in address_slice.self_loads else Unit.DU
-    raise PartitionError(f"instruction {index} (a store) produces no value")
+def _homes(op: bytes, au_mask: bytearray, self_mask: bytearray) -> bytearray:
+    """Home unit of the value each instruction produces: the AU for
+    slice integer ops and self-loads, none (``_NO_VALUE``) for stores,
+    the DU for everything else."""
+    home = bytearray([_DU]) * len(op)
+    for index, op_code in enumerate(op):
+        if op_code == OP_STORE:
+            home[index] = _NO_VALUE
+        elif (op_code == OP_INT and au_mask[index]) or (
+            op_code == OP_LOAD and self_mask[index]
+        ):
+            home[index] = _AU
+    return home
 
 
-def _consumption_units(
-    program: Program, address_slice: AddressSlice
-) -> dict[int, set[Unit]]:
-    """For each value, the set of units that will read it."""
-    needs: dict[int, set[Unit]] = {}
-
-    def need(value: int, unit: Unit) -> None:
-        needs.setdefault(value, set()).add(unit)
-
-    for inst in program:
-        if inst.op_class in (OpClass.INT, OpClass.FP):
-            unit = _producer_unit(program, inst.index, address_slice)
-            for src in inst.srcs:
-                need(src, unit)
-        elif inst.op_class is OpClass.LOAD:
-            if inst.addr_src is not None:
-                need(inst.addr_src, Unit.AU)
-        else:  # STORE
-            if inst.addr_src is not None:
-                need(inst.addr_src, Unit.AU)
+def _needs(program: Program, home: bytearray) -> bytearray:
+    """For each value, a bitmask of the units that read it (``1 << unit``)."""
+    cols = program.columns
+    needs = bytearray(len(home))
+    for op_code, srcs, addr_src, unit in zip(
+        cols.op, cols.srcs, cols.addr_src, home
+    ):
+        if op_code <= OP_FP:
+            bit = 1 << unit
+            for src in srcs:
+                needs[src] |= bit
+            continue
+        if addr_src >= 0:
+            needs[addr_src] |= 1 << _AU
+        if op_code == OP_STORE:
             # The data half of a store executes on the data value's home
             # unit, so storing never forces a cross-unit copy.
-            for src in inst.srcs:
-                need(src, _producer_unit(program, src, address_slice))
+            for src in srcs:
+                if home[src] == _NO_VALUE:
+                    raise PartitionError(
+                        f"instruction {src} (a store) produces no value"
+                    )
+                needs[src] |= 1 << home[src]
     return needs
 
 
@@ -123,6 +196,10 @@ def partition_dm(
 ) -> MachineProgram:
     """Lower an architectural program to a two-stream DM machine program.
 
+    Writes the engine's columns directly: one
+    :class:`~repro.machines.lowered.ColumnBuilder` row per machine
+    instruction, no per-instruction objects.
+
     Args:
         program: the architectural trace.
         latencies: operation latency model.
@@ -130,166 +207,116 @@ def partition_dm(
             by default :func:`compute_address_slice` is used. The
             dynamic partitioner passes a rebalanced slice here.
     """
+    from ..machines.lowered import ColumnBuilder
+
     if address_slice is None:
         address_slice = compute_address_slice(program)
-    needs = _consumption_units(program, address_slice)
+    cols = program.columns
+    op, lat_class, all_srcs = cols.op, cols.lat_class, cols.srcs
+    addr_srcs, addrs, mem_deps = cols.addr_src, cols.addr, cols.mem_dep
+    size = len(op)
+    au_mask, self_mask = address_slice.masks(size)
+    home = _homes(op, au_mask, self_mask)
+    needs = _needs(program, home)
 
-    streams: dict[Unit, list[MachineInstruction]] = {Unit.AU: [], Unit.DU: []}
-    # (arch value index, unit) -> gid of the machine instruction whose
-    # result carries that value on that unit.
-    val_at: dict[tuple[int, Unit], int] = {}
+    builder = ColumnBuilder(_UNITS)
+    rows = builder.rows
+    emit = rows.append
+    # Per unit: arch value index -> gid of the machine instruction whose
+    # result carries that value on that unit (-1: not there).
+    val_at = ([-1] * size, [-1] * size)
     # arch store index -> gids a dependent load must wait for.
-    store_gids: dict[int, tuple[int, ...]] = {}
-    counters = {"copies_au_to_du": 0, "copies_du_to_au": 0, "self_loads": 0}
-    gid = 0
+    store_gids: dict[int, tuple[int, int]] = {}
+    # Copies by producing unit: [AU -> DU, DU -> AU].
+    copies = [0, 0]
+    self_loads = 0
+    op_latency = class_latencies(latencies)
+    copy_latency = latencies.copy
+    mem_base, receive, store = (
+        latencies.mem_base, latencies.receive, latencies.store
+    )
 
-    def emit(
-        unit: Unit,
-        mem_kind: MemKind,
-        latency: int,
-        srcs: tuple[int, ...],
-        addr: int | None,
-        orig_index: int,
-        tag: str,
-    ) -> int:
-        nonlocal gid
-        inst = MachineInstruction(
-            gid=gid,
-            unit=unit,
-            mem_kind=mem_kind,
-            latency=latency,
-            srcs=srcs,
-            addr=addr,
-            orig_index=orig_index,
-            tag=tag,
+    def missing(src: int, unit: int) -> PartitionError:
+        return PartitionError(
+            f"value %{src} is not available on {_UNITS[unit].value}; the "
+            "partitioner failed to insert a copy"
         )
-        streams[unit].append(inst)
-        gid += 1
-        return inst.gid
 
-    def value_on(src: int, unit: Unit) -> int:
-        try:
-            return val_at[(src, unit)]
-        except KeyError:
-            raise PartitionError(
-                f"value %{src} is not available on {unit.value}; the "
-                "partitioner failed to insert a copy"
-            ) from None
+    def value_on(src: int, unit: int) -> int:
+        gid = val_at[unit][src]
+        if gid < 0:
+            raise missing(src, unit)
+        return gid
 
-    def maybe_copy(index: int, unit: Unit, produced_gid: int, tag: str) -> None:
+    def maybe_copy(index: int, unit: int, produced: int) -> None:
         """Emit a copy to the other unit if that unit reads this value."""
-        other = Unit.DU if unit is Unit.AU else Unit.AU
-        if other in needs.get(index, ()):
-            copy_gid = emit(
-                unit, MemKind.COPY, latencies.copy, (produced_gid,), None, index, tag
-            )
-            val_at[(index, other)] = copy_gid
-            if unit is Unit.AU:
-                counters["copies_au_to_du"] += 1
-            else:
-                counters["copies_du_to_au"] += 1
+        other = 1 - unit
+        if needs[index] >> other & 1:
+            val_at[other][index] = len(rows)
+            emit((unit, _COPY, copy_latency, (produced,), 0, index))
+            copies[unit] += 1
 
-    for inst in program:
-        index, tag = inst.index, inst.tag
-        if inst.op_class in (OpClass.INT, OpClass.FP):
-            unit = _producer_unit(program, index, address_slice)
-            srcs = tuple(value_on(s, unit) for s in inst.srcs)
-            produced = emit(
-                unit,
-                MemKind.NONE,
-                opcode_latency(inst.opcode, latencies),
-                srcs,
-                None,
-                index,
-                tag,
-            )
-            val_at[(index, unit)] = produced
-            maybe_copy(index, unit, produced, tag)
-        elif inst.op_class is OpClass.LOAD:
-            srcs: tuple[int, ...] = ()
-            if inst.addr_src is not None:
-                srcs = (value_on(inst.addr_src, Unit.AU),)
-            if inst.mem_dep is not None:
-                srcs = srcs + store_gids[inst.mem_dep]
-            if index in address_slice.self_loads:
-                counters["self_loads"] += 1
-                produced = emit(
-                    Unit.AU,
-                    MemKind.SELF_LOAD,
-                    latencies.mem_base,
-                    srcs,
-                    inst.addr,
-                    index,
-                    tag,
-                )
-                val_at[(index, Unit.AU)] = produced
-                maybe_copy(index, Unit.AU, produced, tag)
+    for index in range(size):
+        op_code = op[index]
+        if op_code <= OP_FP:
+            unit = home[index]
+            at = val_at[unit]
+            srcs = all_srcs[index]
+            deps = tuple(map(at.__getitem__, srcs))
+            if -1 in deps:
+                raise missing(srcs[deps.index(-1)], unit)
+            produced = at[index] = len(rows)
+            emit((unit, _NONE, op_latency[lat_class[index]], deps, 0, index))
+            maybe_copy(index, unit, produced)
+            continue
+        address = addrs[index]
+        if address == -1:
+            address = 0
+        addr_src = addr_srcs[index]
+        if op_code == OP_LOAD:
+            deps = () if addr_src < 0 else (value_on(addr_src, _AU),)
+            if mem_deps[index] >= 0:
+                deps = deps + store_gids[mem_deps[index]]
+            if self_mask[index]:
+                self_loads += 1
+                produced = val_at[_AU][index] = len(rows)
+                emit((_AU, _SELF_LOAD, mem_base, deps, address, index))
+                maybe_copy(index, _AU, produced)
             else:
-                issue = emit(
-                    Unit.AU,
-                    MemKind.LOAD_ISSUE,
-                    latencies.mem_base,
-                    srcs,
-                    inst.addr,
-                    index,
-                    tag,
-                )
-                receive = emit(
-                    Unit.DU,
-                    MemKind.RECEIVE,
-                    latencies.receive,
-                    (issue,),
-                    inst.addr,
-                    index,
-                    tag,
-                )
-                val_at[(index, Unit.DU)] = receive
+                issue = len(rows)
+                emit((_AU, _LOAD_ISSUE, mem_base, deps, address, index))
+                val_at[_DU][index] = issue + 1
+                emit((_DU, _RECEIVE, receive, (issue,), address, index))
                 # Custom (non-slice) partitions may consume a received
                 # value on the AU; the default slice never does.
-                maybe_copy(index, Unit.DU, receive, tag)
+                maybe_copy(index, _DU, issue + 1)
         else:  # STORE
-            if len(inst.srcs) > 1:
+            srcs = all_srcs[index]
+            if len(srcs) > 1:
                 raise PartitionError(
-                    f"store {index} has {len(inst.srcs)} data operands; "
+                    f"store {index} has {len(srcs)} data operands; "
                     "at most one is supported"
                 )
-            addr_srcs: tuple[int, ...] = ()
-            if inst.addr_src is not None:
-                addr_srcs = (value_on(inst.addr_src, Unit.AU),)
-            addr_gid = emit(
-                Unit.AU,
-                MemKind.STORE_ADDR,
-                latencies.store,
-                addr_srcs,
-                inst.addr,
-                index,
-                tag,
-            )
-            if inst.srcs:
-                data = inst.srcs[0]
-                data_unit = _producer_unit(program, data, address_slice)
-                data_gid = emit(
-                    data_unit,
-                    MemKind.STORE_DATA,
-                    latencies.store,
-                    (value_on(data, data_unit),),
-                    inst.addr,
-                    index,
-                    tag,
-                )
+            deps = () if addr_src < 0 else (value_on(addr_src, _AU),)
+            addr_gid = len(rows)
+            emit((_AU, _STORE_ADDR, store, deps, address, index))
+            if srcs:
+                # _needs already rejected stores as data producers.
+                data_unit = home[srcs[0]]
+                data = (value_on(srcs[0], data_unit),)
             else:
-                data_gid = emit(
-                    Unit.DU, MemKind.STORE_DATA, latencies.store, (), inst.addr,
-                    index, tag,
-                )
-            store_gids[index] = (addr_gid, data_gid)
+                data_unit, data = _DU, ()
+            emit((data_unit, _STORE_DATA, store, data, address, index))
+            store_gids[index] = (addr_gid, addr_gid + 1)
 
     meta = {
         "machine": "DM",
         "source": program.name,
         "au_int": len(address_slice.au_int),
-        **counters,
+        "copies_au_to_du": copies[_AU],
+        "copies_du_to_au": copies[_DU],
+        "self_loads": self_loads,
     }
-    machine_program = MachineProgram(program.name, streams, meta=meta)
+    machine_program = builder.program(program.name, cols.tags, meta)
     machine_program.validate()
     return machine_program

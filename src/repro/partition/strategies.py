@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from ..config import DEFAULT_LATENCIES, LatencyModel
 from ..errors import PartitionError
-from ..ir import OpClass, Program
+from ..ir import Program
+from ..ir.types import OP_FP, OP_INT
 from .machine_program import MachineProgram
 from .static_partition import (
     AddressSlice,
@@ -43,7 +44,7 @@ def partition_with_strategy(
     if strategy == "slice":
         return partition_dm(program, latencies)
     if strategy == "memory-only":
-        empty = AddressSlice(au_int=frozenset(), self_loads=frozenset())
+        empty = AddressSlice()
         return partition_dm(program, latencies, address_slice=empty)
     if strategy == "balanced":
         balanced = _balanced_slice(program, target_au_fraction)
@@ -67,25 +68,25 @@ def _balanced_slice(program: Program, target_au_fraction: float) -> AddressSlice
             f"target AU fraction must be in (0, 1), got {target_au_fraction}"
         )
     base = compute_address_slice(program)
-    au_int = set(base.au_int)
-    total = len(program)
+    cols = program.columns
+    op, all_srcs = cols.op, cols.srcs
+    total = len(op)
+    au_mask, self_mask = base.masks(total)
 
     # Loads and store-address halves always execute on the AU.
-    memory_ops = sum(1 for inst in program if inst.is_memory)
-    current = memory_ops + len(au_int)
+    memory_ops = total - op.count(OP_INT) - op.count(OP_FP)
+    current = memory_ops + au_mask.count(1)
     target = int(total * target_au_fraction)
     if current >= target:
         return base
 
-    for inst in program:
+    au_mask = bytearray(au_mask)
+    for index in range(total):
         if current >= target:
             break
-        if inst.op_class is not OpClass.INT or inst.index in au_int:
+        if op[index] != OP_INT or au_mask[index]:
             continue
-        movable = all(
-            program[src].op_class is OpClass.INT for src in inst.srcs
-        )
-        if movable:
-            au_int.add(inst.index)
+        if all(op[src] == OP_INT for src in all_srcs[index]):
+            au_mask[index] = 1
             current += 1
-    return AddressSlice(au_int=frozenset(au_int), self_loads=base.self_loads)
+    return AddressSlice.from_masks(au_mask, self_mask)

@@ -44,10 +44,12 @@ machines.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from ..config import DEFAULT_MEMORY_DIFFERENTIAL
-from ..ir import OpClass, Program
+from ..ir import Program
+from ..ir.types import OP_INT, OP_LOAD
 from ..metrics import classify_band
 from ..partition import analyze_decoupling
 
@@ -144,21 +146,37 @@ def _load_chain_depth(program: Program) -> int:
     that detours through the data unit is a crossing, counted by
     ``lod_rate`` instead).
     """
-    depth = [0] * len(program)
+    cols = program.columns
+    depth = [0] * len(cols.op)
     deepest = 0
-    for inst in program:
-        if inst.op_class is OpClass.INT:
+    for index, (op_code, srcs, addr_src) in enumerate(
+        zip(cols.op, cols.srcs, cols.addr_src)
+    ):
+        if op_code == OP_INT:
             d = 0
-            for src in inst.srcs:
+            for src in srcs:
                 if depth[src] > d:
                     d = depth[src]
-            depth[inst.index] = d
-        elif inst.op_class is OpClass.LOAD:
-            base = depth[inst.addr_src] if inst.addr_src is not None else 0
-            depth[inst.index] = base + 1
-            if depth[inst.index] > deepest:
-                deepest = depth[inst.index]
+            depth[index] = d
+        elif op_code == OP_LOAD:
+            d = depth[index] = (depth[addr_src] if addr_src >= 0 else 0) + 1
+            if d > deepest:
+                deepest = d
     return deepest
+
+
+def _dep_distances(program: Program) -> list[int]:
+    """``consumer - producer`` over every dependence edge (data, address
+    and memory-ordering)."""
+    cols = program.columns
+    distances = [
+        index - dep for index, srcs in enumerate(cols.srcs) for dep in srcs
+    ]
+    for column in (cols.addr_src, cols.mem_dep):
+        distances += [
+            index - dep for index, dep in enumerate(column) if dep >= 0
+        ]
+    return distances
 
 
 def characterize(program: Program) -> WorkloadProfile:
@@ -166,16 +184,10 @@ def characterize(program: Program) -> WorkloadProfile:
     stats = program.stats
     total = max(1, stats.total)
 
-    buckets: dict[int, int] = {}
-    edges = 0
-    distance_sum = 0
-    for inst in program:
-        for dep in inst.all_deps():
-            distance = inst.index - dep
-            bucket = 1 << (distance.bit_length() - 1)
-            buckets[bucket] = buckets.get(bucket, 0) + 1
-            edges += 1
-            distance_sum += distance
+    distances = _dep_distances(program)
+    buckets = Counter(map(int.bit_length, distances))
+    edges = len(distances)
+    distance_sum = sum(distances)
 
     report = analyze_decoupling(program)
     chain = _load_chain_depth(program)
@@ -192,7 +204,9 @@ def characterize(program: Program) -> WorkloadProfile:
         fp_fraction=stats.fp_ops / total,
         load_fraction=stats.loads / total,
         store_fraction=stats.stores / total,
-        dep_distance_hist=tuple(sorted(buckets.items())),
+        dep_distance_hist=tuple(sorted(
+            (1 << (bits - 1), n) for bits, n in buckets.items()
+        )),
         mean_dep_distance=distance_sum / edges if edges else 0.0,
         lod_rate=report.lod_rate,
         self_load_rate=1000.0 * report.self_loads / total,

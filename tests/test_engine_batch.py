@@ -23,6 +23,8 @@ must leave disk-cache keys and payloads untouched. The suite checks:
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,6 +283,10 @@ def run_session(tmp_path, label, *, batch, jobs=1, sweep=None, scale=TINY):
     return session, outcome, cache
 
 
+def _no_compile(*args, **kwargs):
+    raise AssertionError("compiled despite a warm lowering cache")
+
+
 def cache_snapshot(cache_dir) -> dict[str, bytes]:
     return {
         path.name: path.read_bytes()
@@ -353,17 +359,49 @@ class TestSessionParity:
 class TestLoweringCache:
     """The digest-keyed on-disk lowering cache under ``lowered/``."""
 
-    def test_populated_and_reused(self, tmp_path):
+    def test_populated_and_reused(self, tmp_path, monkeypatch):
         first, got, cache = run_session(tmp_path, "lc", batch=True)
         entries = sorted((cache / "lowered").glob("*.pkl"))
         assert entries  # one per (program, machine, partition)
-        # A second session must load the lowering instead of
-        # recompiling, and still produce identical results.
+        # A second session must load every lowering instead of
+        # recompiling (both compilers now raise), and still produce
+        # identical results.
+        monkeypatch.setattr(
+            "repro.machines.registry.partition_with_strategy", _no_compile
+        )
+        monkeypatch.setattr("repro.machines.swsm.lower_swsm", _no_compile)
         second = Session(scale=TINY, cache_dir=cache, batch=True)
         for path in cache.glob("*.pkl"):
             path.unlink()  # force re-simulation, keep lowerings
         want = second.run(sweep_for())
         assert want.results == got.results
+        assert second.stats["evaluated"] == len(list(sweep_for().points()))
+
+    def test_old_layout_entry_recompiles(self, tmp_path):
+        _, got, cache = run_session(tmp_path, "lc", batch=True)
+        # The format-1 layout: a (program, columns) pair, here pickled
+        # at the current key. Loading must recompile, not half-load.
+        for path in (cache / "lowered").glob("*.pkl"):
+            compiled = pickle.loads(path.read_bytes())
+            path.write_bytes(pickle.dumps((compiled, compiled.lowered())))
+        for path in cache.glob("*.pkl"):
+            path.unlink()
+        recovering = Session(scale=TINY, cache_dir=cache, batch=True)
+        for machine in ("dm", "swsm"):
+            source = recovering.program("trfd")
+            assert recovering._lowering_load(source, machine, "slice") is None
+        want = recovering.run(sweep_for())
+        assert want.results == got.results
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.api.session.os.replace", refuse)
+        session = Session(scale=TINY, cache_dir=tmp_path / "lc")
+        compiled = session.compiled("trfd", "dm")
+        assert compiled.num_instructions > 0  # compiling still succeeds
+        assert list((tmp_path / "lc" / "lowered").iterdir()) == []
 
     def test_corrupt_entry_recompiles(self, tmp_path):
         _, got, cache = run_session(tmp_path, "lc", batch=True)

@@ -410,12 +410,13 @@ class TestLoweredForm:
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
         assert compiled.lowered() is compiled.lowered()
 
-    def test_pickle_drops_the_lowered_cache(self):
+    def test_pickle_ships_the_columns_not_the_views(self):
         compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
-        compiled.lowered()
+        compiled.streams  # materialise the per-instruction view
         clone = pickle.loads(pickle.dumps(compiled))
-        assert clone._lowered is None
-        assert clone.lowered().total == compiled.lowered().total
+        assert "streams" not in vars(clone)
+        assert clone.lowered().cons == compiled.lowered().cons
+        assert clone.streams == compiled.streams
 
     def test_consumer_table_matches_program(self):
         compiled = DecoupledMachine.compile(build_kernel("qcd", TINY))
