@@ -28,9 +28,10 @@ import multiprocessing
 import os
 import pickle
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import as_completed
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -121,6 +122,7 @@ class Session:
     def __post_init__(self) -> None:
         self._programs: dict[tuple[str, float], Program] = {}
         self._custom: dict[str, Program] = {}
+        self._prebuilt: Mapping[str, Program] = {}
         self._compiled: dict[tuple[str, float, str, str], object] = {}
         self._profiles: dict[str, object] = {}
         self._results: dict[Point, SimulationResult] = {}
@@ -209,6 +211,22 @@ class Session:
         self._programs.pop((program.name, 0.0), None)
         self._profiles.pop(program.name, None)
 
+    @contextmanager
+    def _using_prebuilt(self, programs: Mapping[str, Program]):
+        """Inside the block, take registry kernels from ``programs``
+        instead of building them.
+
+        For :func:`~repro.workloads.generate_corpus` output built at
+        this session's scale, so a study over the corpus builds each
+        kernel once; programs the block does not use are not kept.
+        Nothing checks a program against its name, hence private.
+        """
+        self._prebuilt = programs
+        try:
+            yield
+        finally:
+            self._prebuilt = {}
+
     def _program_for(self, name: str, expansion: float) -> Program:
         key = (name, expansion)
         if key not in self._programs:
@@ -218,7 +236,10 @@ class Session:
             elif name in self._custom:
                 self._programs[key] = self._custom[name]
             else:
-                self._programs[key] = build_kernel(name, self.scale)
+                program = self._prebuilt.get(name)
+                if program is None:
+                    program = build_kernel(name, self.scale)
+                self._programs[key] = program
         return self._programs[key]
 
     def profile(self, name: str):
@@ -844,9 +865,15 @@ class Session:
             result = replace(result, telemetry=None)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        try:
+            with tmp.open("wb") as handle:
+                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            # Never leave a half-written entry behind; the error stands.
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise
 
     # -- convenience accessors ---------------------------------------------------
 

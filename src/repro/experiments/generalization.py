@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from ..api.presets import generalization_sweep
 from ..api.session import Session
 from ..config import DEFAULT_MEMORY_DIFFERENTIAL
+from ..ir import Program
 from ..kernels import get_kernel
 from ..metrics import classify_band, lhe
 from ..workloads import Corpus, parse_generated_name
@@ -183,7 +184,16 @@ def run_generalization_study(
     preset. Plain registry names (the seven paper kernels) are accepted
     too and grouped under the ``named`` pseudo-family, which is how the
     study cross-checks itself against Table 1.
+
+    A corpus fresh from :func:`~repro.workloads.generate_corpus` at the
+    session's scale hands its built programs over: the session keeps
+    those it needs instead of building them again, and
+    ``corpus.programs`` is left empty.
     """
+    prebuilt: dict[str, Program] = {}
+    if isinstance(corpus, Corpus) and corpus.scale == session.scale:
+        prebuilt = dict(corpus.programs)
+        corpus.programs.clear()
     entries = _study_entries(corpus)
     names = tuple(name for name, _, _ in entries)
     sweep = generalization_sweep(
@@ -194,10 +204,11 @@ def run_generalization_study(
         du_width=session.du_width,
         swsm_width=session.swsm_width,
     )
-    cycles = {
-        (p.program, p.machine, p.window, p.memory_differential): r.cycles
-        for p, r in session.run(sweep)
-    }
+    with session._using_prebuilt(prebuilt):
+        cycles = {
+            (p.program, p.machine, p.window, p.memory_differential): r.cycles
+            for p, r in session.run(sweep)
+        }
     rows = []
     for name, family, predicted in entries:
         rows.append(

@@ -22,6 +22,12 @@ Example::
 Every array reference costs one integer address instruction (the
 address add) plus the memory operation itself, which is the access
 workload the paper's address unit executes.
+
+The builder appends each instruction as one row of integer columns
+(:class:`~repro.ir.program.TraceColumns`) and :meth:`KernelBuilder.build`
+freezes those columns into the :class:`~repro.ir.Program`; no
+per-instruction :class:`~repro.ir.Instruction` object is created on the
+way.
 """
 
 from __future__ import annotations
@@ -30,14 +36,18 @@ import random
 from dataclasses import dataclass
 
 from ..errors import BuilderError
-from .instruction import Instruction, Value
-from .program import Program
-from .types import OPCODE_CLASS, OpClass, Opcode
+from .instruction import Value
+from .program import Program, TraceColumns
+from .types import OPCODE_INDEX, Opcode
 
 __all__ = ["ArrayHandle", "KernelBuilder"]
 
 #: Arrays are laid out on aligned slabs so addresses never collide.
 _ARRAY_ALIGNMENT = 1 << 20
+
+# Enum class attribute lookups are slow on Python 3.11; the hot paths
+# use these module constants instead.
+_IADD, _LOAD, _STORE = Opcode.IADD, Opcode.LOAD, Opcode.STORE
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,13 @@ class KernelBuilder:
         self.name = name
         self.seed = seed
         self.rng = random.Random(seed)
-        self._instructions: list[Instruction] = []
+        # One list per trace column; see TraceColumns.
+        self._opcode = bytearray()
+        self._srcs: list[tuple[int, ...]] = []
+        self._addr_src: list[int] = []
+        self._addr: list[int] = []
+        self._mem_dep: list[int] = []
+        self._tags: list[str] = []
         self._arrays: dict[str, ArrayHandle] = {}
         self._addr_of: dict[int, int] = {}
         self._last_store: dict[int, int] = {}
@@ -105,36 +121,36 @@ class KernelBuilder:
         tag: str = "",
     ) -> Value:
         """Append one instruction; returns the value it produces."""
-        index = len(self._instructions)
+        index = len(self._tags)
         for src in srcs:
-            self._check_value(src)
-        if addr_src is not None:
-            self._check_value(addr_src)
-        inst = Instruction(
-            index=index,
-            opcode=opcode,
-            srcs=tuple(s.index for s in srcs),
-            addr_src=None if addr_src is None else addr_src.index,
-            addr=addr,
-            mem_dep=mem_dep,
-            tag=tag,
-        )
-        self._instructions.append(inst)
+            if not isinstance(src, Value) or src.index >= index:
+                self._reject(src, index)
+        if addr_src is not None and (
+            not isinstance(addr_src, Value) or addr_src.index >= index
+        ):
+            self._reject(addr_src, index)
+        self._opcode.append(OPCODE_INDEX[opcode._value_])
+        self._srcs.append(tuple([src.index for src in srcs]) if srcs else ())
+        self._addr_src.append(-1 if addr_src is None else addr_src.index)
+        self._addr.append(-1 if addr is None else addr)
+        self._mem_dep.append(-1 if mem_dep is None else mem_dep)
+        self._tags.append(tag)
         return Value(index)
 
-    def _check_value(self, value: Value) -> None:
+    @staticmethod
+    def _reject(value: object, emitted: int) -> None:
+        """Raise the :class:`BuilderError` for an unusable operand."""
         if not isinstance(value, Value):
             raise BuilderError(f"expected a Value, got {value!r}")
-        if value.index >= len(self._instructions):
-            raise BuilderError(
-                f"value %{value.index} does not exist yet "
-                f"({len(self._instructions)} instructions emitted)"
-            )
+        raise BuilderError(
+            f"value %{value.index} does not exist yet "
+            f"({emitted} instructions emitted)"
+        )
 
     # -- arithmetic ------------------------------------------------------------
 
     def _arith(self, opcode: Opcode, srcs: tuple[Value, ...], tag: str) -> Value:
-        if OPCODE_CLASS[opcode].is_memory:
+        if opcode is _LOAD or opcode is _STORE:
             raise BuilderError(f"{opcode.value} is not an arithmetic opcode")
         return self.emit(opcode, srcs=srcs, tag=tag)
 
@@ -213,8 +229,9 @@ class KernelBuilder:
         indirect references, a converted data value for data-dependent
         references.
         """
-        value = self.iadd(*deps, tag=tag or f"addr:{array.name}")
-        self._addr_of[value.index] = array.element(index)
+        element = array.element(index)
+        value = self.emit(_IADD, deps, tag=tag or f"addr:{array.name}")
+        self._addr_of[value.index] = element
         return value
 
     def concrete_address(self, value: Value) -> int:
@@ -232,7 +249,7 @@ class KernelBuilder:
         """Load through a previously computed address value."""
         addr = self.concrete_address(addr_value)
         return self.emit(
-            Opcode.LOAD,
+            _LOAD,
             addr_src=addr_value,
             addr=addr,
             mem_dep=self._last_store.get(addr),
@@ -246,7 +263,7 @@ class KernelBuilder:
         """
         addr = self.concrete_address(addr_value)
         value = self.emit(
-            Opcode.STORE,
+            _STORE,
             srcs=() if data is None else (data,),
             addr_src=addr_value,
             addr=addr,
@@ -310,12 +327,20 @@ class KernelBuilder:
         self._meta.update(meta)
 
     def __len__(self) -> int:
-        return len(self._instructions)
+        return len(self._tags)
 
     def build(self, validate: bool = True) -> Program:
-        """Freeze the trace into a :class:`Program`."""
+        """Freeze the trace into a :class:`Program`.
+
+        The program gets frozen copies of the columns, so emitting after
+        ``build()`` leaves it unchanged.
+        """
         meta = {"seed": self.seed, **self._meta}
-        program = Program(self.name, self._instructions, meta=meta)
+        columns = TraceColumns(
+            self._opcode, self._srcs, self._addr_src, self._addr,
+            self._mem_dep, self._tags,
+        )
+        program = Program(self.name, columns, meta=meta)
         if validate:
             program.validate()
         return program

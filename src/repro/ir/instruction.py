@@ -1,10 +1,15 @@
 """Architectural instructions and SSA values.
 
-A program trace is a list of :class:`Instruction` in program order.
-Every instruction produces at most one value, identified by the
+A program trace is a sequence of instructions in program order. Every
+instruction produces at most one value, identified by the
 instruction's position in the trace, so a :class:`Value` is a thin
 wrapper around that index. Renaming is therefore perfect by
 construction (the paper assumes false dependencies are removed).
+
+A :class:`~repro.ir.Program` stores its trace as integer columns; an
+:class:`Instruction` is the per-instruction view of one row, made when
+a program is indexed or iterated, or written by hand for small test
+traces.
 
 Memory operations carry their *address dependency* in a dedicated slot
 (``addr_src``) rather than mixed into ``srcs``: the access/execute

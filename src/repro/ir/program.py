@@ -1,15 +1,18 @@
 """The :class:`Program` container: an architectural instruction trace.
 
-A program is an immutable (by convention) list of instructions in
-program order together with summary statistics and dependence-graph
-helpers used by the partitioner, the machine models and the analytic
-sanity checks in the test-suite.
+A program is an immutable (by convention) trace in program order
+together with summary statistics and dependence-graph helpers used by
+the partitioner, the machine models and the analytic sanity checks in
+the test-suite.
 
+A program *is* its :class:`TraceColumns`: integer struct-of-arrays
+columns (opcode, op class, latency class, operands, address, memory
+edge, tag), which :class:`~repro.ir.KernelBuilder` writes directly.
 Every whole-trace pass (address slicing, DM partitioning, SWSM
-lowering, characterization, the analytic timing bounds, validation)
-reads the trace through :attr:`Program.columns`, an integer
-struct-of-arrays view computed once per program, rather than through
-per-instruction attributes and enum lookups.
+lowering, characterization, the analytic timing bounds, validation,
+the content digest, code expansion) reads and writes those columns.
+:class:`~repro.ir.Instruction` objects are views, made only when
+something indexes or iterates the program.
 """
 
 from __future__ import annotations
@@ -23,15 +26,20 @@ from ..config import DEFAULT_LATENCIES, LatencyModel
 from ..errors import IRValidationError
 from .instruction import Instruction
 from .types import (
+    LAT_OF_OPCODE,
     OP_FP,
     OP_INT,
     OP_LOAD,
+    OP_OF_OPCODE,
     OP_STORE,
-    OPCODE_CODES,
+    OPCODE_INDEX,
+    OPCODES,
     class_latencies,
 )
 
 __all__ = ["Program", "ProgramStats", "TraceColumns"]
+
+_OPCODE_VALUES = tuple(opcode.value for opcode in OPCODES)
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,19 @@ class ProgramStats:
         return self.fp_ops / self.total if self.total else 0.0
 
 
+def _raise_not_earlier(index: int, dep: int) -> None:
+    raise IRValidationError(
+        f"instruction {index} depends on {dep}, which is not an earlier "
+        "instruction"
+    )
+
+
 class TraceColumns:
-    """Integer column view of a trace, one entry per instruction.
+    """Integer columns of a trace, one entry per instruction.
 
     Attributes:
+        opcode: opcode code (the index into
+            :data:`~repro.ir.types.OPCODES`), as ``bytes``.
         op: op-class code (``OP_INT``, ``OP_FP``, ``OP_LOAD``,
             ``OP_STORE`` from :mod:`repro.ir.types`), as ``bytes``.
         lat_class: latency-class code (``LAT_INT``, ``LAT_FP``,
@@ -71,37 +88,62 @@ class TraceColumns:
             non-negative).
         mem_dep: memory-ordering predecessor index, ``-1`` for none.
         tags: per-instruction tag strings.
+
+    The columns are frozen into tuples, which also keeps them out of
+    the garbage collector's full collections (a tuple of plain values
+    is untracked after one pass); ``op`` and ``lat_class`` are derived
+    from ``opcode``.
     """
 
-    __slots__ = ("op", "lat_class", "srcs", "addr_src", "addr", "mem_dep",
-                 "tags")
+    __slots__ = ("opcode", "op", "lat_class", "srcs", "addr_src", "addr",
+                 "mem_dep", "tags")
 
-    def __init__(self, instructions: Sequence[Instruction]) -> None:
-        codes = [OPCODE_CODES[inst.opcode] for inst in instructions]
-        self.op = bytes(code[0] for code in codes)
-        self.lat_class = bytes(code[1] for code in codes)
-        self.srcs = [inst.srcs for inst in instructions]
-        self.addr_src = [
-            -1 if inst.addr_src is None else inst.addr_src
-            for inst in instructions
-        ]
-        self.addr = [
-            -1 if inst.addr is None else inst.addr for inst in instructions
-        ]
-        self.mem_dep = [
-            -1 if inst.mem_dep is None else inst.mem_dep
-            for inst in instructions
-        ]
-        self.tags = [inst.tag for inst in instructions]
+    def __init__(
+        self,
+        opcode: bytes | bytearray,
+        srcs: Sequence[tuple[int, ...]],
+        addr_src: Sequence[int],
+        addr: Sequence[int],
+        mem_dep: Sequence[int],
+        tags: Sequence[str],
+    ) -> None:
+        self.opcode = bytes(opcode)
+        self.op = self.opcode.translate(OP_OF_OPCODE)
+        self.lat_class = self.opcode.translate(LAT_OF_OPCODE)
+        self.srcs = tuple(srcs)
+        self.addr_src = tuple(addr_src)
+        self.addr = tuple(addr)
+        self.mem_dep = tuple(mem_dep)
+        self.tags = tuple(tags)
+
+    @classmethod
+    def from_instructions(
+        cls, instructions: Sequence[Instruction]
+    ) -> "TraceColumns":
+        """The columns of an :class:`Instruction` sequence."""
+        return cls(
+            bytes(OPCODE_INDEX[inst.opcode.value] for inst in instructions),
+            [inst.srcs for inst in instructions],
+            [-1 if inst.addr_src is None else inst.addr_src
+             for inst in instructions],
+            [-1 if inst.addr is None else inst.addr for inst in instructions],
+            [-1 if inst.mem_dep is None else inst.mem_dep
+             for inst in instructions],
+            [inst.tag for inst in instructions],
+        )
 
 
 class Program(Sequence[Instruction]):
-    """An architectural trace in program order.
+    """An architectural trace in program order, stored as its columns.
 
     Args:
         name: identifies the workload (e.g. ``"flo52q"``).
-        instructions: trace in program order; instruction ``i`` must
-            have ``index == i`` and only reference earlier instructions.
+        instructions: the trace in program order, as
+            :class:`TraceColumns` (what :class:`~repro.ir.KernelBuilder`
+            hands over) or as :class:`Instruction` objects (hand-built
+            traces), which are turned into columns. Instruction ``i``
+            must have ``index == i`` and only reference earlier
+            instructions.
         meta: free-form metadata recorded by the generator (parameters,
             seed, scale) so a result is fully reproducible.
     """
@@ -109,17 +151,43 @@ class Program(Sequence[Instruction]):
     def __init__(
         self,
         name: str,
-        instructions: Sequence[Instruction],
+        instructions: TraceColumns | Sequence[Instruction],
         meta: dict[str, object] | None = None,
     ) -> None:
         self.name = name
-        self.instructions = list(instructions)
+        if isinstance(instructions, TraceColumns):
+            self.columns = instructions
+        else:
+            # Hand-built objects double as the views; they carry their
+            # own (possibly wrong) indices, which validate() checks.
+            listed = list(instructions)
+            self.columns = TraceColumns.from_instructions(listed)
+            self.__dict__["instructions"] = listed
         self.meta: dict[str, object] = dict(meta or {})
+
+    @cached_property
+    def instructions(self) -> list[Instruction]:
+        """Per-instruction views of the columns, made on first use."""
+        cols = self.columns
+        return [
+            Instruction(
+                index=index,
+                opcode=OPCODES[code],
+                srcs=srcs,
+                addr_src=None if addr_src < 0 else addr_src,
+                addr=None if addr < 0 else addr,
+                mem_dep=None if mem_dep < 0 else mem_dep,
+                tag=tag,
+            )
+            for index, (code, srcs, addr_src, addr, mem_dep, tag)
+            in enumerate(zip(cols.opcode, cols.srcs, cols.addr_src,
+                             cols.addr, cols.mem_dep, cols.tags))
+        ]
 
     # -- Sequence protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.columns.opcode)
 
     def __getitem__(self, item):  # type: ignore[override]
         return self.instructions[item]
@@ -131,11 +199,6 @@ class Program(Sequence[Instruction]):
         return f"Program({self.name!r}, {len(self)} instructions)"
 
     # -- statistics ---------------------------------------------------------
-
-    @cached_property
-    def columns(self) -> TraceColumns:
-        """The integer column view of the trace (computed once)."""
-        return TraceColumns(self.instructions)
 
     @cached_property
     def stats(self) -> ProgramStats:
@@ -160,10 +223,19 @@ class Program(Sequence[Instruction]):
         """
         hasher = hashlib.sha256()
         hasher.update(self.name.encode("utf-8"))
-        for inst in self.instructions:
+        cols = self.columns
+        # One repr row per instruction, spelled as the Instruction
+        # fields (None where a column holds -1).
+        for index, (code, srcs, addr_src, addr, mem_dep, tag) in enumerate(
+            zip(cols.opcode, cols.srcs, cols.addr_src, cols.addr,
+                cols.mem_dep, cols.tags)
+        ):
             row = (
-                inst.index, inst.opcode.value, inst.srcs, inst.addr_src,
-                inst.addr, inst.mem_dep, inst.tag,
+                index, _OPCODE_VALUES[code], srcs,
+                None if addr_src < 0 else addr_src,
+                None if addr < 0 else addr,
+                None if mem_dep < 0 else mem_dep,
+                tag,
             )
             hasher.update(repr(row).encode("utf-8"))
         return hasher.hexdigest()
@@ -176,46 +248,54 @@ class Program(Sequence[Instruction]):
 
         Includes memory-ordering (store -> load) edges.
         """
-        out: list[list[int]] = [[] for _ in self.instructions]
-        for inst in self.instructions:
-            for dep in inst.all_deps():
-                out[dep].append(inst.index)
+        cols = self.columns
+        out: list[list[int]] = [[] for _ in cols.opcode]
+        for index, (srcs, addr_src, mem_dep) in enumerate(
+            zip(cols.srcs, cols.addr_src, cols.mem_dep)
+        ):
+            for dep in srcs:
+                out[dep].append(index)
+            if addr_src >= 0:
+                out[addr_src].append(index)
+            if mem_dep >= 0:
+                out[mem_dep].append(index)
         return out
 
     def validate(self) -> None:
         """Raise :class:`IRValidationError` unless the trace is well formed."""
-        cols = self.columns
-        op, addr, addr_src, mem_dep = (
-            cols.op, cols.addr, cols.addr_src, cols.mem_dep
-        )
-        for i, inst in enumerate(self.instructions):
+        # Column positions are the indices; only Instruction objects
+        # handed to the constructor carry an index of their own.
+        for i, inst in enumerate(self.__dict__.get("instructions", ())):
             if inst.index != i:
                 raise IRValidationError(
                     f"instruction at position {i} has index {inst.index}"
                 )
-            deps = cols.srcs[i]
-            if addr_src[i] != -1:
-                deps = deps + (addr_src[i],)
-            if mem_dep[i] != -1:
-                deps = deps + (mem_dep[i],)
-            for dep in deps:
+        cols = self.columns
+        op = cols.op
+        for i, (srcs, code, a_src, address, m_dep) in enumerate(zip(
+            cols.srcs, op, cols.addr_src, cols.addr, cols.mem_dep
+        )):
+            for dep in srcs:
                 if not 0 <= dep < i:
+                    _raise_not_earlier(i, dep)
+            if a_src != -1 and not 0 <= a_src < i:
+                _raise_not_earlier(i, a_src)
+            if m_dep != -1 and not 0 <= m_dep < i:
+                _raise_not_earlier(i, m_dep)
+            if code >= OP_LOAD:
+                if address == -1:
                     raise IRValidationError(
-                        f"instruction {i} depends on {dep}, which is not an "
-                        "earlier instruction"
+                        f"memory instruction {i} has no address"
                     )
-            is_memory = op[i] >= OP_LOAD
-            if is_memory and addr[i] == -1:
-                raise IRValidationError(f"memory instruction {i} has no address")
-            if not is_memory and addr[i] != -1:
+            elif address != -1:
                 raise IRValidationError(
                     f"non-memory instruction {i} has an address"
                 )
-            if not is_memory and addr_src[i] != -1:
+            elif a_src != -1:
                 raise IRValidationError(
                     f"non-memory instruction {i} has an address dependency"
                 )
-            if mem_dep[i] != -1 and op[mem_dep[i]] != OP_STORE:
+            if m_dep != -1 and op[m_dep] != OP_STORE:
                 raise IRValidationError(
                     f"mem_dep of instruction {i} is not a store"
                 )

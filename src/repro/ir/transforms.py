@@ -11,11 +11,12 @@ benchmark implement that study.
 from __future__ import annotations
 
 from ..errors import IRValidationError
-from .instruction import Instruction
-from .program import Program
-from .types import Opcode
+from .program import Program, TraceColumns
+from .types import OPCODE_INDEX, Opcode
 
 __all__ = ["expand_code"]
+
+_IADD = OPCODE_INDEX[Opcode.IADD.value]
 
 
 def expand_code(
@@ -52,52 +53,48 @@ def expand_code(
     insert_after = [min(len(program) - 1, int((k + 1) * step) - 1)
                     for k in range(total_inserted)]
 
-    new_instructions: list[Instruction] = []
+    cols = program.columns
+    opcode = bytearray()
+    srcs: list[tuple[int, ...]] = []
+    addr_src: list[int] = []
+    addr: list[int] = []
+    mem_dep: list[int] = []
+    tags: list[str] = []
     index_map: dict[int, int] = {}
     previous_inserted: int | None = None
     insertion_cursor = 0
 
-    def remap(values: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(index_map[v] for v in values)
-
-    for inst in program:
-        new_index = len(new_instructions)
-        index_map[inst.index] = new_index
-        new_instructions.append(
-            Instruction(
-                index=new_index,
-                opcode=inst.opcode,
-                srcs=remap(inst.srcs),
-                addr_src=None if inst.addr_src is None
-                else index_map[inst.addr_src],
-                addr=inst.addr,
-                mem_dep=None if inst.mem_dep is None
-                else index_map[inst.mem_dep],
-                tag=inst.tag,
-            )
-        )
+    for index, (code, deps, a_src, address, m_dep, tag) in enumerate(zip(
+        cols.opcode, cols.srcs, cols.addr_src, cols.addr, cols.mem_dep,
+        cols.tags,
+    )):
+        index_map[index] = len(opcode)
+        opcode.append(code)
+        srcs.append(tuple(index_map[v] for v in deps))
+        addr_src.append(-1 if a_src < 0 else index_map[a_src])
+        addr.append(address)
+        mem_dep.append(-1 if m_dep < 0 else index_map[m_dep])
+        tags.append(tag)
         while (
             insertion_cursor < total_inserted
-            and insert_after[insertion_cursor] == inst.index
+            and insert_after[insertion_cursor] == index
         ):
-            overhead_index = len(new_instructions)
-            srcs: tuple[int, ...] = ()
-            if chain and previous_inserted is not None:
-                srcs = (previous_inserted,)
-            new_instructions.append(
-                Instruction(
-                    index=overhead_index,
-                    opcode=Opcode.IADD,
-                    srcs=srcs,
-                    tag="expansion",
-                )
+            overhead_index = len(opcode)
+            opcode.append(_IADD)
+            srcs.append(
+                (previous_inserted,)
+                if chain and previous_inserted is not None else ()
             )
+            addr_src.append(-1)
+            addr.append(-1)
+            mem_dep.append(-1)
+            tags.append("expansion")
             previous_inserted = overhead_index
             insertion_cursor += 1
 
     expanded = Program(
         f"{program.name}+exp{round(fraction * 100)}",
-        new_instructions,
+        TraceColumns(opcode, srcs, addr_src, addr, mem_dep, tags),
         meta={**program.meta, "expansion_fraction": fraction},
     )
     expanded.validate()

@@ -17,8 +17,12 @@ from ..errors import IRValidationError
 __all__ = [
     "OpClass",
     "Opcode",
+    "OPCODES",
+    "OPCODE_INDEX",
     "OPCODE_CLASS",
     "OPCODE_CODES",
+    "OP_OF_OPCODE",
+    "LAT_OF_OPCODE",
     "class_latencies",
     "opcode_latency",
 ]
@@ -116,6 +120,19 @@ OPCODE_CODES: dict[Opcode, tuple[int, int]] = {
     )
     for opcode, cls in OPCODE_CLASS.items()
 }
+
+#: Every opcode, in declaration order; the ``opcode`` trace column holds
+#: each instruction's index into this tuple.
+OPCODES: tuple[Opcode, ...] = tuple(Opcode)
+#: Opcode value -> opcode code. Keyed by the value string because a
+#: ``str`` hashes in C where an ``Enum`` member hashes in Python.
+OPCODE_INDEX: dict[str, int] = {
+    opcode.value: code for code, opcode in enumerate(OPCODES)
+}
+#: :meth:`bytes.translate` tables from an ``opcode`` column to its
+#: op-class and latency-class columns.
+OP_OF_OPCODE = bytes(OPCODE_CODES[o][0] for o in OPCODES).ljust(256, b"\0")
+LAT_OF_OPCODE = bytes(OPCODE_CODES[o][1] for o in OPCODES).ljust(256, b"\0")
 
 
 def class_latencies(

@@ -277,7 +277,7 @@ def _stateless_table(
     addr = low.addr
     memory_gids = low.memory_gids
     extras = memory.latencies([addr[gid] for gid in memory_gids], 0)
-    table = low.base_addlat.copy()
+    table = list(low.base_addlat)
     for gid, extra in zip(memory_gids, extras):
         table[gid] = mem_base + extra
     return table
@@ -339,7 +339,7 @@ def _simulate_speculative(
             return result
         memory.reset()
         extras = _replay(low, memory, access)
-        refined = low.base_addlat.copy()
+        refined = list(low.base_addlat)
         for encoded, extra in zip(access, extras):
             refined[encoded % total] = mem_base + extra
         if refined == table:
@@ -443,7 +443,7 @@ def _simulate_fast(
     chunk_latencies = memory.latencies if chunked else None
     cons = low.cons
     unit_of = low.unit_index
-    pending = low.n_srcs.copy()
+    pending = list(low.n_srcs)
     opmax = [0] * total
     dispatched = bytearray(total)
     issue_time = [-1] * total
@@ -869,7 +869,7 @@ def _simulate_events(
     addlat = low.base_addlat
     cons = low.cons
     unit_of = low.unit_index
-    pending = low.n_srcs.copy()
+    pending = list(low.n_srcs)
     opmax = [0] * total
     dispatched = bytearray(total)
     issue_time = [-1] * total if collect_issue_times else None
@@ -1161,7 +1161,7 @@ def _simulate_probing(
     lat_arr = low.lat
     addr_arr = low.addr
     cons = low.cons
-    pending = low.n_srcs.copy()
+    pending = list(low.n_srcs)
     opmax = [0] * total
     dispatched = bytearray(total)
     issued_flag = bytearray(total)

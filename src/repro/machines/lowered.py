@@ -147,10 +147,13 @@ class SteadyState:
 class LoweredProgram:
     """Flat parallel arrays describing one machine program.
 
-    All lists are indexed by gid except ``stream_gids`` (per-unit
+    All columns are indexed by gid except ``stream_gids`` (per-unit
     dispatch order). Instances are immutable by convention: the engine
     treats every array, including the tables returned by
-    :meth:`addlat_for`, as read-only.
+    :meth:`addlat_for`, as read-only. The columns are tuples (or
+    bytearrays): the garbage collector stops tracking a tuple of plain
+    values after one pass, so its full collections do not rescan the
+    columns of every live program.
     """
 
     __slots__ = (
@@ -219,7 +222,7 @@ class LoweredProgram:
         """
         table = self._addlat_cache.get(mem_latency)
         if table is None:
-            table = self.base_addlat.copy()
+            table = list(self.base_addlat)
             for gid in self.memory_gids:
                 table[gid] = mem_latency
             self._addlat_cache[mem_latency] = table
@@ -342,7 +345,7 @@ class ColumnBuilder:
         """
         total = len(self.rows)
         unit_index, kind, lat, srcs, addr, orig = (
-            map(list, zip(*self.rows)) if total else ([] for _ in range(6))
+            zip(*self.rows) if total else (() for _ in range(6))
         )
         kinds = bytes(kind)
         gids = range(total)
@@ -353,12 +356,14 @@ class ColumnBuilder:
         if stream_gids is None:
             units = bytes(unit_index)
             stream_gids = [
-                list(compress(gids, units.translate(_selector(ui))))
+                compress(gids, units.translate(_selector(ui)))
                 for ui in range(len(self.units))
             ]
-        low.stream_gids = stream_gids
-        low.n_srcs = list(map(len, srcs))
-        low.src_off = [tuple(map(g.__sub__, s)) for g, s in zip(gids, srcs)]
+        low.stream_gids = tuple(map(tuple, stream_gids))
+        low.n_srcs = tuple(map(len, srcs))
+        low.src_off = tuple(
+            tuple(map(g.__sub__, s)) for g, s in zip(gids, srcs)
+        )
         floor = total or 1
         low.min_dep_offset = min(
             floor, min(map(min, filter(None, low.src_off)), default=floor)
@@ -366,15 +371,16 @@ class ColumnBuilder:
         low.dep_span = max(
             0, max(map(max, filter(None, low.src_off)), default=0)
         )
-        low.mode = list(kinds.translate(_KIND_MODE_TABLE))
+        low.mode = tuple(kinds.translate(_KIND_MODE_TABLE))
         low.lat = lat
         low.addr = addr
         low.orig_index = orig
-        low.base_addlat = lat.copy()
+        base_addlat = list(lat)
         for gid in compress(gids, kinds.translate(_ESTABLISH_TABLE)):
-            low.base_addlat[gid] = 1
+            base_addlat[gid] = 1
+        low.base_addlat = tuple(base_addlat)
         low.is_mem = bytearray(kinds.translate(_MEMORY_TABLE))
-        low.memory_gids = list(compress(gids, low.is_mem))
+        low.memory_gids = tuple(compress(gids, low.is_mem))
         low.mem_units = tuple(sorted({unit_index[g] for g in low.memory_gids}))
         low.delivers = bytearray(kinds.translate(_DELIVERS_TABLE))
         low.min_latency = min(
@@ -382,22 +388,23 @@ class ColumnBuilder:
         )
         # Consumer lists in stream order, unit by unit.
         consumers: list[list[int]] = [[] for _ in gids]
-        for stream in stream_gids:
+        for stream in low.stream_gids:
             for gid in stream:
                 for dep in srcs[gid]:
                     consumers[dep].append(gid)
-        low.cons = list(map(tuple, consumers))
-        low.pair = [-1] * total
+        low.cons = tuple(map(tuple, consumers))
+        pair = [-1] * total
         unpaired = set()
         for gid in compress(gids, kinds.translate(_CONSUMES_TABLE)):
             if srcs[gid]:
-                low.pair[gid] = srcs[gid][0]
+                pair[gid] = srcs[gid][0]
             else:
                 unpaired.add(gid)
+        low.pair = tuple(pair)
         # In stream order: the buffer probe reports the first one.
         low.pair_missing = tuple(
             (gid, MEM_KINDS[kinds[gid]].value)
-            for stream in (stream_gids if unpaired else ())
+            for stream in (low.stream_gids if unpaired else ())
             for gid in stream
             if gid in unpaired
         )

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import KernelError
+from ..ir import Program
 from ..kernels.base import KernelSpec, get_kernel
 from .characterize import characterize
 from .grammar import (
@@ -98,6 +99,13 @@ class Corpus:
     entries: tuple[CorpusEntry, ...]
     version: int = MANIFEST_VERSION
     grammar: int = GRAMMAR_VERSION
+    #: The built programs, by name, of a corpus made by
+    #: :func:`generate_corpus` (at ``scale``), until a generalization
+    #: study hands them to its session; empty for a loaded manifest.
+    #: Never serialised.
+    programs: dict[str, Program] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "families", tuple(self.families))
@@ -194,6 +202,7 @@ def generate_corpus(
     rng = random.Random(f"repro:corpus:{seed}")
     seen: set[tuple[str, int]] = set()
     entries = []
+    programs: dict[str, Program] = {}
     for index in range(size):
         family = families[index % len(families)]
         while True:
@@ -203,9 +212,11 @@ def generate_corpus(
                 break
         program = build_generated(family, kernel_seed, scale)
         profile = characterize(program)
+        kernel_name = generated_name(family, kernel_seed)
+        programs[kernel_name] = program
         entries.append(
             CorpusEntry(
-                name=generated_name(family, kernel_seed),
+                name=kernel_name,
                 family=family,
                 seed=kernel_seed,
                 digest=program.digest(),
@@ -229,6 +240,7 @@ def generate_corpus(
         scale=scale,
         families=tuple(families),
         entries=tuple(entries),
+        programs=programs,
     )
 
 

@@ -85,6 +85,18 @@ class TestDiskCache:
         assert recovering.stats["evaluated"] == 1
         assert result.cycles == session.evaluate(point).cycles
 
+    def test_failed_write_leaves_no_temp_file(
+        self, tmp_path, point, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.api.session.os.replace", refuse)
+        session = Session(scale=SCALE, cache_dir=tmp_path)
+        with pytest.raises(OSError, match="disk full"):
+            session.evaluate(point)
+        assert list(tmp_path.rglob("*.tmp.*")) == []
+
     def test_custom_programs_bypass_disk_cache(self, tmp_path, point):
         """A custom trace shadowing a kernel name must never read (or
         poison) the stock kernel's disk entry — content isn't keyed."""
