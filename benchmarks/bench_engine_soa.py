@@ -6,15 +6,16 @@ paper's fixed-differential memory *and* under every stateful memory
 model (bypass buffer, cache hierarchy, banked memory, stream
 prefetcher) — and records every row in ``BENCH_engine.json``. Each
 tier first asserts cycle parity of the shipped route against the
-probing loop (``_simulate_probing``), which has no steady-state skip
-and no speculation, so those accelerators are cross-checked at every
-tier, ``paper`` and ``huge`` included. The stateful tiers track how
+probe route's loop run with probes off (``_simulate_fast`` with its
+probe branch, chunked queries, no steady-state skip and no
+speculation), so those accelerators are cross-checked at every tier,
+``paper`` and ``huge`` included. The stateful tiers track how
 the accelerated routes perform: bypass-style models ride the
 speculative schedule fixed point (docs/timing.md), the rest the
 chunked issue-order path.
 
 The event-heap tiers (``measure_events``) time the event scheduler
-against the per-cycle probing loop on
+against that probes-off probe-route loop on
 dm+{banked,prefetch,hierarchy,banked-long} — the time-sensitive /
 long-latency models it was built for — and assert it wins on the
 long-latency ``banked-long`` tier at ``paper`` and ``huge`` scale.
@@ -39,7 +40,7 @@ from repro.config import DEFAULT_LATENCIES, UnitConfig
 from repro.experiments.scales import PRESETS
 from repro.kernels import build_kernel
 from repro.machines import simulate
-from repro.machines.engine import _simulate_events, _simulate_probing
+from repro.machines.engine import _simulate_events, _simulate_fast
 from repro.memory import BankedMemory, FixedLatencyMemory
 from repro.obs.telemetry import TelemetryCollector
 from repro.partition import Unit
@@ -90,11 +91,14 @@ def _best_of(rounds: int, run) -> float:
 
 
 def _probing(compiled, configs, memory):
-    """The probing loop, probes off: no skip layer, no speculation."""
-    return _simulate_probing(
-        compiled.lowered(), compiled, configs, memory, DEFAULT_LATENCIES,
-        False, False, False, None,
-    )
+    """The probe route's loop, probes off: chunked queries, no skip
+    layer, no speculation."""
+    low = compiled.lowered()
+    return _simulate_fast(
+        low, compiled, configs, memory, low.base_addlat, DEFAULT_LATENCIES,
+        False, None, steady_ok=False, chunked=True,
+        collector=TelemetryCollector(), probes=(False, False),
+    )[0]
 
 
 def measure_scale(scale_name: str, rounds: int = 3) -> list[dict]:
@@ -127,7 +131,7 @@ def measure_scale(scale_name: str, rounds: int = 3) -> list[dict]:
         new_result = run_new(compiled)  # warm the lowering cache
         reference = _probing(compiled, configs, memory)
         assert new_result.cycles == reference.cycles, (
-            f"shipped route disagrees with the probing loop on "
+            f"shipped route disagrees with the probe-route loop on "
             f"{machine_name}@{scale_name}: "
             f"{new_result.cycles} vs {reference.cycles}"
         )
@@ -158,7 +162,7 @@ def measure_stateful(scale_name: str, rounds: int = 3) -> list[dict]:
         new_result = simulate(compiled, configs, make_memory())
         reference = _probing(compiled, configs, make_memory())
         assert new_result.cycles == reference.cycles, (
-            f"shipped route disagrees with the probing loop on "
+            f"shipped route disagrees with the probe-route loop on "
             f"dm+{label}@{scale_name}: "
             f"{new_result.cycles} vs {reference.cycles}"
         )
@@ -179,11 +183,11 @@ def measure_stateful(scale_name: str, rounds: int = 3) -> list[dict]:
 
 
 def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
-    """Event-heap scheduler vs the per-cycle probing loop.
+    """Event-heap scheduler vs the probes-off probe-route loop.
 
     Covers the dm+{banked,prefetch,hierarchy,banked-long} tiers: the
     models with long or irregular stateful latencies the event engine
-    was built for. The probing loop runs with probes off, so the
+    was built for. The probe-route loop runs with probes off, so the
     comparison is pure scheduling strategy; rounds are interleaved
     (one event run, one probing run, repeat) so clock drift hits both
     engines equally. On the long-latency ``banked-long`` tier at
@@ -222,7 +226,7 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
             )
         if label == "banked-long" and scale_name in EVENT_SCALES:
             assert event_seconds < probing_seconds, (
-                f"event engine lost to the probing loop on the "
+                f"event engine lost to the probe-route loop on the "
                 f"long-latency banked tier @ {scale_name}: "
                 f"{event_seconds:.4f}s vs {probing_seconds:.4f}s"
             )
@@ -273,7 +277,7 @@ def test_event_engine_tiers_recorded(preset):
             print(
                 f"\n{row['machine']}@{row['scale']}: "
                 f"{row['ips'] / 1e6:.2f}M inst/s, "
-                f"{row['speedup_vs_probing']:.1f}x over the probing loop"
+                f"{row['speedup_vs_probing']:.1f}x over the probe-route loop"
             )
 
 

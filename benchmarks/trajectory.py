@@ -50,8 +50,12 @@ _HEADER = {
         "events": "event-heap scheduler, driven directly "
                   "(repro.machines.engine._simulate_events; "
                   "docs/timing.md, 'Event scheduling')",
-        "probing": "per-cycle probing loop, probes off (the engine's "
-                   "pre-event baseline for time-sensitive models)",
+        "probing": "the probe route's cycle loop (_simulate_fast with "
+                   "its probe branch) run with probes off: chunked "
+                   "queries, no skip, no speculation; the event "
+                   "heap's baseline for time-sensitive models. Rows "
+                   "before the fold measured the separate per-cycle "
+                   "probing loop it replaced",
         "per-point": "scalar dispatch of a whole sweep axis, one "
                      "simulate() per operating point (the batch "
                      "engine's baseline; rows carry a 'lanes' field "

@@ -242,7 +242,7 @@ def point_batch_key(point: Point) -> tuple | None:
     whole sweep axis (windows, differentials, widths, memory variants)
     can stack into one batched simulation — see
     :mod:`repro.machines.batch` and the ``Session.run`` batch planner.
-    Probe points are excluded (the probing engine has no batched
+    Probe points are excluded (the probe route has no batched
     form), as is any machine without a ``batch_configs`` hook (the
     planner checks the hook separately; serial is analytic and needs
     no batching). Widths deliberately stay *out* of the key: the

@@ -21,20 +21,20 @@ one vectorized stepping loop:
   its remaining full periods in O(window + dep span) row operations —
   the same accelerator the scalar fast loop carries, per lane
   (docs/timing.md, "Periodic steady state");
-* **batched memory queries** — uniform models fold into per-lane
-  latency table rows; stateless models are answered by the same one
-  up-front :meth:`~repro.memory.MemorySystem.latencies` call per lane
-  the scalar path makes (so model-side counters stay bit-exact).
+* **uniform memory** — each lane's fixed differential folds into its
+  row of a lane x gid latency table, as the scalar path folds it into
+  one table.
 
-Stateful models, probe runs, unlimited windows and degenerate batches
-fall back to the scalar :func:`~repro.machines.engine.simulate` per
-lane — for stateful models that lands in the existing speculative
-fixed point / chunked paths, so a mixed batch still produces exactly
-the per-point results, just grouped.
+Any other memory model (stateful, or merely address-dependent), probe
+runs, unlimited windows and degenerate batches fall back to the scalar
+:func:`~repro.machines.engine.simulate` per lane — for such models
+that lands in the existing speculative fixed point / chunked paths, so
+a mixed batch still produces exactly the per-point results, just
+grouped.
 
 Within a cycle the scalar engine issues oldest-first and its
 within-cycle issue order only reaches a memory model through chunked
-(stateful) queries; uniform/stateless lanes therefore schedule
+(stateful) queries; uniform lanes therefore schedule
 identically whether slots are walked heap-ordered or selected by gid
 rank, which is what makes the slot-matrix formulation below exact.
 The parity suite (tests/test_engine_batch.py) and the differential
@@ -59,7 +59,7 @@ except ImportError:  # pragma: no cover - numpy-less fallback
 
 from ..config import DEFAULT_LATENCIES, LatencyModel, UnitConfig
 from ..errors import SimulationDeadlockError
-from ..memory import CAP_STATELESS, MemorySystem
+from ..memory import MemorySystem
 from ..obs.telemetry import RunTelemetry, add_counters, zero_counters
 from ..partition.machine_program import MachineProgram, Unit
 from . import engine as _engine
@@ -88,16 +88,13 @@ _MAX_BATCH_WINDOW = 1024
 #: yet small enough that ``INF + d_t`` cannot overflow int64.
 _NEVER = 1 << 60
 
-#: Checkpoint budget before a uniform-memory lane is evicted to the
-#: scalar fallback. Lanes that settle into the steady state match
-#: within one to three period boundaries across the corpus; one that
-#: has not matched at twice that is almost certainly aperiodic at this
-#: operating point and would step cycle-by-cycle to the end —
-#: serializing every other lane behind the shared loop. Rerunning it
-#: scalar from scratch is bit-exact (that is the fallback contract)
-#: and strictly faster. Stateless-model lanes are never evicted (their
-#: one up-front table query must not repeat); they keep the scalar
-#: engine's ``_MAX_CHECKPOINTS`` budget instead.
+#: Checkpoint budget before a lane is evicted to the scalar fallback.
+#: Lanes that settle into the steady state match within one to three
+#: period boundaries across the corpus; one that has not matched at
+#: twice that is almost certainly aperiodic at this operating point
+#: and would step cycle-by-cycle to the end — serializing every other
+#: lane behind the shared loop. Rerunning it scalar from scratch is
+#: bit-exact (that is the fallback contract) and strictly faster.
 _EVICT_CHECKPOINTS = 6
 
 
@@ -127,7 +124,7 @@ def simulate_batch(
     Returns one :class:`SimulationResult` per lane, positionally
     aligned, each identical to
     ``simulate(program, lane.unit_configs, lane.memory, latencies)``.
-    Vectorizable lanes (uniform or stateless memory, bounded windows)
+    Vectorizable lanes (uniform memory, bounded windows)
     run stacked in the 2-D stepping loop; the rest fall back to the
     scalar engine one lane at a time (counted in each such lane's
     ``telemetry.counters["batch_fallback_lanes"]``).
@@ -180,9 +177,7 @@ def vector_eligible(memory: MemorySystem, window: int | None) -> bool:
     """
     if _np is None or window is None or window > _MAX_BATCH_WINDOW:
         return False
-    if memory.uniform_extra_latency() is not None:
-        return True
-    return memory.capability() == CAP_STATELESS
+    return memory.uniform_extra_latency() is not None
 
 
 def _lane_cap(total: int) -> int:
@@ -201,12 +196,11 @@ def _vectorizable(
         config = lane.unit_configs.get(unit)
         if config is None or config.window > _MAX_BATCH_WINDOW:
             return False
-    memory = lane.memory
-    if memory.uniform_extra_latency() is not None:
-        return True
-    if not low.memory_gids:
-        return True  # no accesses: any model degenerates to uniform
-    return memory.capability() == CAP_STATELESS
+    # No accesses: any model degenerates to uniform.
+    return (
+        lane.memory.uniform_extra_latency() is not None
+        or not low.memory_gids
+    )
 
 
 def _np_tables(low: LoweredProgram):
@@ -243,37 +237,26 @@ def _np_tables(low: LoweredProgram):
     return tables
 
 
-def _lane_tables(low, lanes, latencies, tables):
-    """Per-lane effective added-latency rows (lane x gid)."""
-    n_lanes = len(lanes)
-    mem_base = latencies.mem_base
-    tab = _np.tile(tables["base_addlat"], (n_lanes, 1))
-    memory_gids = tables["memory_gids"]
-    uniform_rows: list[int] = []
-    uniform_vals: list[int] = []
-    for index, lane in enumerate(lanes):
+def _lane_tables(lanes, latencies, tables):
+    """Per-lane effective added-latency rows (lane x gid).
+
+    Every vector lane's memory is uniform (or the program has no
+    accesses), so one 2-D scatter writes each lane's
+    ``mem_base + extra`` over the memory gids.
+    """
+    tab = _np.tile(tables["base_addlat"], (len(lanes), 1))
+    for lane in lanes:
         lane.memory.reset()
-        if not len(memory_gids):
-            continue
-        uniform = lane.memory.uniform_extra_latency()
-        if uniform is not None:
-            uniform_rows.append(index)
-            uniform_vals.append(mem_base + uniform)
-        else:
-            # Same single up-front query the scalar stateless path
-            # makes, so model-side stats stay bit-identical.
-            addr = low.addr
-            extras = lane.memory.latencies_array(
-                [addr[gid] for gid in low.memory_gids], 0
-            )
-            tab[index, memory_gids] = mem_base + _np.asarray(
-                extras, dtype=_np.int64
-            )
-    if uniform_rows:
-        # One 2-D scatter for every uniform lane at once.
-        rows = _np.asarray(uniform_rows, dtype=_np.int64)
-        vals = _np.asarray(uniform_vals, dtype=_np.int64)
-        tab[rows[:, None], memory_gids] = vals[:, None]
+    memory_gids = tables["memory_gids"]
+    if len(memory_gids):
+        vals = _np.asarray(
+            [
+                latencies.mem_base + lane.memory.uniform_extra_latency()
+                for lane in lanes
+            ],
+            dtype=_np.int64,
+        )
+        tab[:, memory_gids] = vals[:, None]
     return tab
 
 
@@ -340,7 +323,7 @@ def _run_vector(
     nu = len(units)
     n_lanes = len(lanes)
     tables = _np_tables(low)
-    tab = _lane_tables(low, lanes, latencies, tables)
+    tab = _lane_tables(lanes, latencies, tables)
     cons_cnt = tables["cons_cnt"]
     cons_off = tables["cons_off"]
     cons_flat = tables["cons_flat"]
@@ -402,12 +385,6 @@ def _run_vector(
     # for the lane telemetry records.
     lane_skip: list[tuple[int, int]] = [(0, 0)] * n_lanes
     evicted: set[int] = set()
-    memory_gids = tables["memory_gids"]
-    uniform_lane = [
-        not len(memory_gids)
-        or lane.memory.uniform_extra_latency() is not None
-        for lane in lanes
-    ]
 
     # Lane-wise steady-state skip arming.
     steady = None
@@ -492,9 +469,9 @@ def _run_vector(
         """Fingerprint one lane at a crossed boundary; maybe shift it.
 
         Returns ``"armed"`` to keep checkpointing, ``"disarm"`` once
-        the lane skipped (or ran out of scalar-budget checkpoints),
-        and ``"evict"`` when a uniform lane blew the batch checkpoint
-        budget and should finish on the scalar engine instead.
+        the lane skipped, and ``"evict"`` when the lane blew the batch
+        checkpoint budget and should finish on the scalar engine
+        instead.
         """
         sk = skip[lane]
         boundary = sk.next_boundary
@@ -555,11 +532,8 @@ def _run_vector(
         sk.prev_icyc = tuple(int(icyc[u][lane]) for u in range(nu))
         sk.prev_issued = tuple(int(issued_cnt[u][lane]) for u in range(nu))
         sk.checkpoints += 1
-        if uniform_lane[lane]:
-            if sk.checkpoints >= _EVICT_CHECKPOINTS:
-                return "evict"
-        elif sk.checkpoints >= _engine._MAX_CHECKPOINTS:
-            return "disarm"
+        if sk.checkpoints >= _EVICT_CHECKPOINTS:
+            return "evict"
         return "armed"
 
     # Scratch buffers reused across steps; the arange cache serves the

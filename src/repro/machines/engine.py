@@ -15,44 +15,45 @@ over (:meth:`~repro.partition.machine_program.MachineProgram.lowered`), and
 the dispatch/issue loop runs over integer arrays and integer-encoded
 ready queues. The memory system is queried exclusively through the
 batched :meth:`~repro.memory.MemorySystem.latencies` protocol — there
-is no per-access scalar call anywhere in the engine — and the model's
-declared capability picks the strategy:
+is no per-access scalar call anywhere in the engine — and the model
+and the requested probes pick the strategy:
 
-* **uniform** models (the paper's fixed differential) fold the whole
-  availability rule into one precomputed per-gid latency table; on
-  structurally periodic programs (every loop-nest trace) the fast loop
-  then also detects a repeating scheduler state and skips whole
+* **uniform** models (the paper's fixed differential, declared through
+  :meth:`~repro.memory.MemorySystem.uniform_extra_latency`) fold the
+  whole availability rule into one precomputed per-gid latency table;
+  on structurally periodic programs (every loop-nest trace) the fast
+  loop then also detects a repeating scheduler state and skips whole
   iterations at once (docs/timing.md, "Periodic steady state");
-* **stateless** models (pure functions of the address) are queried
-  once, up front, for every memory access in the program, and the
-  answers become a per-gid latency table — the fast loop again;
-* **stateful** models (caches, bypass buffers, banked memories,
-  prefetchers) first get the *speculative schedule fixed point*
-  (:func:`_simulate_speculative`): guess a per-gid table, run at full
-  table speed (steady-state skip included), replay the model over the
-  resulting access stream, and verify the guess — exact whenever it
-  converges. Models that decline (or fail to converge) run either in
-  the same fast loop with one chunked, issue-ordered query per unit
-  per cycle, or — when the model reports ``time_sensitive`` stateful
-  behaviour (bank queuing, in-flight prefetch arrivals) — in the
-  **event-heap scheduler** (:func:`_simulate_events`): one global
-  min-heap of ``(time, seq, event)`` entries for dispatches,
-  completions and memory arrivals, advancing the clock straight to
-  the next event with deterministic FIFO tie-breaking at equal
-  timestamps (docs/timing.md, "Event scheduling").
+* every other model (caches, bypass buffers, banked memories,
+  prefetchers, or any address-dependent rule) first gets the
+  *speculative schedule fixed point* (:func:`_simulate_speculative`):
+  guess a per-gid table, run at full table speed (steady-state skip
+  included), replay the model over the resulting access stream, and
+  verify the guess — exact whenever it converges. Models that decline
+  (or fail to converge) run either in the same fast loop with one
+  chunked, issue-ordered query per unit per cycle, or — when the model
+  reports ``time_sensitive`` behaviour (bank queuing, in-flight
+  prefetch arrivals) — in the **event-heap scheduler**
+  (:func:`_simulate_events`): one global min-heap of
+  ``(time, seq, event)`` entries for dispatches, completions and
+  memory arrivals, advancing the clock straight to the next event with
+  deterministic FIFO tie-breaking at equal timestamps (docs/timing.md,
+  "Event scheduling");
+* runs that ask for the buffer or ESW probes (or carry zero-latency
+  operations) take the fast loop's **probe branch**: chunked queries
+  for every model, plus the residency intervals, the ESW samples and
+  the zero-latency wakeup floor.
 
-The choice depends only on the inputs — memory capability, probes,
-latencies — and whichever route runs, the schedule is bit-exact. Each
-result's :class:`~repro.obs.telemetry.RunTelemetry` records the
-strategy taken and the run's accelerator counters; :func:`simulate`
-reads and writes no process state.
-
-A separate probing loop carries the buffer/ESW probes; it uses the
-same chunked queries. All loops are event-driven — idle cycles are
-skipped — and cycle-exact: whole results (cycles, unit statistics,
-issue times, probes) are identical to the naive cycle-by-cycle oracle
-(:mod:`repro.machines.reference`), a property the test-suite checks
-kernel by kernel and model by model.
+:func:`_simulate_fast` and :func:`_simulate_events` are the only two
+per-run cycle loops. The choice depends only on the inputs — memory
+model, probes, latencies — and whichever route runs, the schedule is
+bit-exact. Each result's :class:`~repro.obs.telemetry.RunTelemetry`
+records the strategy taken and the run's accelerator counters;
+:func:`simulate` reads and writes no process state. Both loops are
+event-driven — idle cycles are skipped — and cycle-exact: whole
+results (cycles, unit statistics, issue times, probes) are identical
+to the naive cycle-by-cycle oracle (:mod:`repro.machines.reference`),
+a property the test-suite checks kernel by kernel and model by model.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from time import perf_counter
 from ..config import DEFAULT_LATENCIES, LatencyModel, UnitConfig
 from ..errors import SimulationDeadlockError, SimulationError
 from ..memory import (
-    CAP_STATELESS,
     FixedLatencyMemory,
     MemorySystem,
     OccupancyStats,
@@ -72,7 +72,7 @@ from ..memory import (
 )
 from ..obs.telemetry import RunTelemetry, TelemetryCollector
 from ..partition.machine_program import MachineProgram, Unit
-from .lowered import MODE_ESTABLISH, MODE_MEMORY, LoweredProgram
+from .lowered import LoweredProgram
 
 __all__ = ["UnitStats", "SimulationResult", "simulate"]
 
@@ -203,84 +203,57 @@ def _route(
 ) -> SimulationResult:
     """Pick a strategy and run it; records the choice on ``collector``."""
     low = program.lowered()
-    if not probe_buffers and not probe_esw and low.min_latency >= 1:
-        uniform = memory.uniform_extra_latency()
-        if uniform is None and not low.memory_gids:
-            uniform = 0  # no accesses: any model degenerates to uniform
-        if uniform is not None:
-            # One constant: precomputed table, steady-state skip armed.
-            addlat = low.addlat_for(latencies.mem_base + uniform)
-            return _chosen(collector, "uniform-table", _simulate_fast(
-                low, program, unit_configs, memory, addlat, latencies,
-                collect_issue_times, max_cycles,
-                steady_ok=True, chunked=False, collector=collector,
-            )[0])
-        if memory.capability() == CAP_STATELESS:
-            # Pure function of the address: one up-front batched query
-            # answers every access in the program. The skip re-arms if
-            # the resulting table proves periodic.
-            table = _stateless_table(low, memory, latencies.mem_base)
-            return _chosen(collector, "stateless-table", _simulate_fast(
-                low, program, unit_configs, memory, table,
-                latencies, collect_issue_times, max_cycles,
-                steady_ok=True, chunked=False, collector=collector,
-            )[0])
-        if (
-            memory.speculation_friendly()
-            and max_cycles is None
-            and low.total >= _SKIP_MIN_TOTAL
-            and low.single_memory_unit()
-            and low.steady() is not None
-        ):
-            result = _simulate_speculative(
-                low, program, unit_configs, memory, latencies,
-                collect_issue_times, collector,
-            )
-            if result is not None:
-                return _chosen(collector, "speculative", result)
-        # Every event the heap scheduler pushes must be strictly in the
-        # future; ``mem_base >= 1`` (with ``min_latency >= 1`` above)
-        # guarantees it for memory arrivals too.
-        if latencies.mem_base >= 1 and memory.time_sensitive():
-            # Time-sensitive stateful models (bank queuing, in-flight
-            # prefetch arrivals) burn idle cycles between long-latency
-            # arrivals in the cycle loop; the event heap jumps the
-            # clock straight to the next arrival instead.
-            return _chosen(collector, "events-chunked", _simulate_events(
-                low, program, unit_configs, memory, latencies,
-                collect_issue_times, max_cycles, collector=collector,
-            ))
-        # Stateful-ordered: same fast loop, one chunked issue-order
-        # query per unit per cycle.
-        return _chosen(collector, "chunked", _simulate_fast(
+    if probe_buffers or probe_esw or low.min_latency < 1:
+        # Probes (or zero-latency operations): the fast loop's probe
+        # branch, one chunked issue-order query per unit per cycle.
+        return _chosen(collector, "probing", _simulate_fast(
             low, program, unit_configs, memory, low.base_addlat, latencies,
-            collect_issue_times, max_cycles,
-            steady_ok=False, chunked=True, collector=collector,
+            collect_issue_times, max_cycles, steady_ok=False, chunked=True,
+            collector=collector, probes=(probe_buffers, probe_esw),
         )[0])
-    return _chosen(collector, "probing", _simulate_probing(
-        low,
-        program,
-        unit_configs,
-        memory,
-        latencies,
-        probe_buffers,
-        probe_esw,
-        collect_issue_times,
-        max_cycles,
-    ))
-
-
-def _stateless_table(
-    low: LoweredProgram, memory: MemorySystem, mem_base: int
-) -> list[int]:
-    """Per-gid added-latency table from one batched stateless query."""
-    addr = low.addr
-    memory_gids = low.memory_gids
-    extras = memory.latencies([addr[gid] for gid in memory_gids], 0)
-    table = list(low.base_addlat)
-    for gid, extra in zip(memory_gids, extras):
-        table[gid] = mem_base + extra
-    return table
+    uniform = memory.uniform_extra_latency()
+    if uniform is None and not low.memory_gids:
+        uniform = 0  # no accesses: any model degenerates to uniform
+    if uniform is not None:
+        # One constant: precomputed table, steady-state skip armed.
+        addlat = low.addlat_for(latencies.mem_base + uniform)
+        return _chosen(collector, "uniform-table", _simulate_fast(
+            low, program, unit_configs, memory, addlat, latencies,
+            collect_issue_times, max_cycles,
+            steady_ok=True, chunked=False, collector=collector,
+        )[0])
+    if (
+        memory.speculation_friendly()
+        and max_cycles is None
+        and low.total >= _SKIP_MIN_TOTAL
+        and low.single_memory_unit()
+        and low.steady() is not None
+    ):
+        result = _simulate_speculative(
+            low, program, unit_configs, memory, latencies,
+            collect_issue_times, collector,
+        )
+        if result is not None:
+            return _chosen(collector, "speculative", result)
+    # Every event the heap scheduler pushes must be strictly in the
+    # future; ``mem_base >= 1`` (with ``min_latency >= 1`` above)
+    # guarantees it for memory arrivals too.
+    if latencies.mem_base >= 1 and memory.time_sensitive():
+        # Time-sensitive stateful models (bank queuing, in-flight
+        # prefetch arrivals) burn idle cycles between long-latency
+        # arrivals in the cycle loop; the event heap jumps the clock
+        # straight to the next arrival instead.
+        return _chosen(collector, "events-chunked", _simulate_events(
+            low, program, unit_configs, memory, latencies,
+            collect_issue_times, max_cycles, collector=collector,
+        ))
+    # Stateful-ordered: same fast loop, one chunked issue-order query
+    # per unit per cycle.
+    return _chosen(collector, "chunked", _simulate_fast(
+        low, program, unit_configs, memory, low.base_addlat, latencies,
+        collect_issue_times, max_cycles,
+        steady_ok=False, chunked=True, collector=collector,
+    )[0])
 
 
 #: Fast-loop runs a speculative fixed point may spend before giving up
@@ -418,8 +391,9 @@ def _simulate_fast(
     chunked: bool,
     collector: TelemetryCollector,
     fill_gids: list[int] | None = None,
+    probes: tuple[bool, bool] | None = None,
 ) -> tuple[SimulationResult, list[int]]:
-    """The hot path: no probes, every latency baked or chunk-batched.
+    """The cycle loop: every latency baked or chunk-batched.
 
     ``addlat`` folds the availability rule into one add per issue,
     heaps hold plain integers (wakeups encode ``time * total + gid``,
@@ -433,6 +407,16 @@ def _simulate_fast(
     region. Returns ``(result, issue_time_list)`` — the raw per-gid
     issue times feed the speculative fixed point without paying for a
     dict.
+
+    ``probes = (probe_buffers, probe_esw)`` (with ``chunked``) selects
+    the probe route's own issue branch: chunked queries as above, plus
+    the buffer residency intervals (each delivering gid's arrival,
+    closed when its paired consumer first issues) and a next-cycle
+    floor for zero-latency results whose consumer's unit is the
+    issuing one or comes before it (docs/timing.md, "Bypass and result
+    availability"); the ESW probe samples once per visited step,
+    weighted by the idle gap to the next. The table and chunked
+    branches take on no per-instruction work for either probe.
     """
     total = low.total
     units = low.units
@@ -461,16 +445,38 @@ def _simulate_fast(
     last_issue = [0] * nu
     oldest = [0] * nu  # per-unit oldest-unissued stream position
 
+    # Probe state (probe route only): buffer residency intervals and
+    # the effective-single-window accumulators.
+    arrivals: dict[int, int] | None = None
+    intervals: list[tuple[int, int]] = []
+    pair = low.pair
+    delivers = low.delivers
+    esw_au = esw_du = -1
+    esw_peak = esw_weighted = esw_cycles = 0
+    if probes is not None:
+        probe_buffers, probe_esw = probes
+        if probe_buffers:
+            if low.pair_missing:
+                gid, kind = low.pair_missing[0]
+                raise SimulationError(
+                    f"{kind} gid={gid} has no paired memory operation"
+                )
+            arrivals = {}
+        if probe_esw and Unit.AU in units and Unit.DU in units:
+            esw_au = units.index(Unit.AU)
+            esw_du = units.index(Unit.DU)
+            orig_index = low.orig_index
+
     steady = None
     if steady_ok and max_cycles is None and total >= _SKIP_MIN_TOTAL:
         steady = low.steady()
     if steady is not None:
         # The structural period ignores addresses, so a per-gid table
-        # (stateless or speculative extras) must itself repeat for the
-        # skip to stay cycle-exact. Uniform tables pass the one slice
-        # compare trivially; tables with a warmup prefix (cold-start
-        # misses) get their verified start raised past it instead —
-        # block-wise slice compares keep the scan at C speed.
+        # (speculative extras) must itself repeat for the skip to stay
+        # cycle-exact. Uniform tables pass the one slice compare
+        # trivially; tables with a warmup prefix (cold-start misses)
+        # get their verified start raised past it instead — block-wise
+        # slice compares keep the scan at C speed.
         period = steady.period
         if addlat[steady.start: total - period] != addlat[
             steady.start + period:
@@ -558,7 +564,7 @@ def _simulate_fast(
                                 heappush(
                                     wakeups[unit_of[c]], opmax[c] * total + c
                                 )
-                else:
+                elif probes is None:
                     # Stateful memory: the model must see accesses
                     # oldest-first (heap order), so sort batches that
                     # bypassed the ready heap, then answer the memory
@@ -586,6 +592,44 @@ def _simulate_fast(
                             if not remaining and dispatched[c]:
                                 heappush(
                                     wakeups[unit_of[c]], opmax[c] * total + c
+                                )
+                else:
+                    # Probe route: the chunked branch plus the buffer
+                    # residency intervals and the zero-latency floor.
+                    if len(batch) > 1:
+                        batch.sort()
+                    mem_gids = [g for g in batch if is_mem[g]]
+                    if mem_gids:
+                        extra_iter = iter(chunk_latencies(
+                            [addr_arr[g] for g in mem_gids], t
+                        ))
+                    for gid in batch:
+                        issue_time[gid] = t
+                        if is_mem[gid]:
+                            avail = t + mem_base + next(extra_iter)
+                            if arrivals is not None and delivers[gid]:
+                                arrivals[gid] = avail
+                        else:
+                            avail = t + addlat[gid]
+                        if arrivals is not None and pair[gid] >= 0:
+                            arrival = arrivals.pop(pair[gid], None)
+                            if arrival is not None:
+                                intervals.append((arrival, t))
+                        if avail > horizon:
+                            horizon = avail
+                        for c in cons[gid]:
+                            remaining = pending[c] - 1
+                            pending[c] = remaining
+                            if opmax[c] < avail:
+                                opmax[c] = avail
+                            if not remaining and dispatched[c]:
+                                # A result available now reaches only
+                                # units not yet visited this cycle.
+                                ready_at = opmax[c]
+                                if ready_at == t and unit_of[c] <= u:
+                                    ready_at = t + 1
+                                heappush(
+                                    wakeups[unit_of[c]], ready_at * total + c
                                 )
                 occ -= len(batch)
                 any_progress = True
@@ -703,6 +747,28 @@ def _simulate_fast(
                     next_time = candidate
         if width_blocked and next_time > t + 1:
             next_time = t + 1
+        if esw_du >= 0:
+            # Effective single window (paper section 3): from the oldest
+            # unissued DU instruction to the youngest dispatched AU one,
+            # in architectural instructions. The scheduling state holds
+            # until the next visited step, so the sample does too.
+            du_gids = streams[esw_du]
+            position = oldest[esw_du]
+            while (
+                position < lens[esw_du]
+                and issue_time[du_gids[position]] >= 0
+            ):
+                position += 1
+            oldest[esw_du] = position
+            if position < lens[esw_du] and ptrs[esw_au]:
+                sample = orig_index[streams[esw_au][ptrs[esw_au] - 1]] \
+                    - orig_index[du_gids[position]] + 1
+                if sample > 0:
+                    span = 1 if next_time is _INFINITY else next_time - t
+                    esw_weighted += sample * span
+                    esw_cycles += span
+                    if sample > esw_peak:
+                        esw_peak = sample
         if next_time is _INFINITY:
             if any_progress:
                 # Progress happened this cycle but nothing is
@@ -753,7 +819,10 @@ def _simulate_fast(
     if collect_issue_times:
         issue_times = {gid: issue_time[gid] for gid in range(total)}
     result = _result(
-        low, program, memory, horizon, unit_stats, None, 0, 0.0, issue_times
+        low, program, memory, horizon, unit_stats,
+        occupancy_from_intervals(intervals) if arrivals is not None else None,
+        esw_peak, esw_weighted / esw_cycles if esw_cycles else 0.0,
+        issue_times,
     )
     return result, issue_time
 
@@ -1108,284 +1177,3 @@ def _simulate_events(
     return _result(
         low, program, memory, horizon, unit_stats, None, 0, 0.0, issue_times
     )
-
-
-class _UState:
-    """Mutable scheduling state of one unit (probing loop only)."""
-
-    __slots__ = (
-        "unit", "gids", "window", "width", "ptr", "occ",
-        "ready", "wakeup", "oldest", "issued", "icyc", "last",
-    )
-
-    def __init__(self, unit, gids, window, width):
-        self.unit = unit
-        self.gids = gids
-        self.window = window
-        self.width = width
-        self.ptr = 0
-        self.occ = 0
-        self.ready: list[int] = []  # heap of gids (oldest first)
-        self.wakeup: list[tuple[int, int]] = []  # heap of (ready_at, gid)
-        self.oldest = 0  # stream position, for ESW probing
-        self.issued = 0
-        self.icyc = 0
-        self.last = 0
-
-    def done(self) -> bool:
-        return self.occ == 0 and self.ptr >= len(self.gids)
-
-
-def _simulate_probing(
-    low: LoweredProgram,
-    program: MachineProgram,
-    unit_configs: dict[Unit, UnitConfig],
-    memory: MemorySystem,
-    latencies: LatencyModel,
-    probe_buffers: bool,
-    probe_esw: bool,
-    collect_issue_times: bool,
-    max_cycles: int | None,
-) -> SimulationResult:
-    """The probing path: buffer/ESW probes, zero-latency programs.
-
-    Still array-driven, and the memory system is still queried through
-    the batched protocol — one issue-ordered
-    :meth:`MemorySystem.latencies` chunk per unit per cycle. What sets
-    this loop apart from the fast one are the probes (buffer residency
-    intervals, ESW samples) and the dispatch-time floors that keep
-    zero-latency instructions exact.
-    """
-    total = low.total
-    mode_arr = low.mode
-    lat_arr = low.lat
-    addr_arr = low.addr
-    cons = low.cons
-    pending = list(low.n_srcs)
-    opmax = [0] * total
-    dispatched = bytearray(total)
-    issued_flag = bytearray(total)
-    dispatch_time = [0] * total
-    avail_arr = [0] * total
-    issue_time = [0] * total if collect_issue_times or probe_esw else None
-
-    states = [
-        _UState(
-            unit,
-            low.stream_gids[ui],
-            unit_configs[unit].window,
-            unit_configs[unit].width,
-        )
-        for ui, unit in enumerate(low.units)
-    ]
-    state_of = [states[ui] for ui in low.unit_index] if total else []
-
-    mem_base = latencies.mem_base
-    chunk_latencies = memory.latencies
-
-    # Buffer residency probe: arrival time of each delivering gid, and
-    # (arrival, consume) intervals closed when the consumer issues.
-    arrivals: dict[int, int] = {}
-    intervals: list[tuple[int, int]] = []
-    pair_arr = low.pair
-    delivers = low.delivers
-    if probe_buffers and low.pair_missing:
-        gid, kind = low.pair_missing[0]
-        raise SimulationError(
-            f"{kind} gid={gid} has no paired memory operation"
-        )
-
-    by_unit = {state.unit: state for state in states}
-    esw_enabled = probe_esw and Unit.AU in by_unit and Unit.DU in by_unit
-    au_state = by_unit.get(Unit.AU)
-    du_state = by_unit.get(Unit.DU)
-    orig_index = low.orig_index
-    esw_peak = 0
-    esw_weighted = 0
-    esw_cycles = 0
-
-    time = 0
-    while True:
-        all_done = True
-        any_progress = False
-        width_blocked = False
-        for state in states:
-            if state.done():
-                continue
-            all_done = False
-            ready = state.ready
-            wakeup = state.wakeup
-            while wakeup and wakeup[0][0] <= time:
-                heappush(ready, heappop(wakeup)[1])
-            budget = state.width
-            batch: list[int] = []
-            while budget and ready:
-                batch.append(heappop(ready))
-                budget -= 1
-            if batch:
-                # Heap pops come oldest-first, so the memory subset of
-                # the batch is already in issue order: answer it with
-                # one chunked query before applying the batch.
-                mem_gids = [g for g in batch if mode_arr[g] == MODE_MEMORY]
-                if mem_gids:
-                    extra_iter = iter(chunk_latencies(
-                        [addr_arr[g] for g in mem_gids], time
-                    ))
-                for gid in batch:
-                    issued_flag[gid] = 1
-                    if issue_time is not None:
-                        issue_time[gid] = time
-                    mode = mode_arr[gid]
-                    if mode == MODE_MEMORY:
-                        avail = time + mem_base + next(extra_iter)
-                        if probe_buffers and delivers[gid]:
-                            arrivals[gid] = avail
-                    elif mode == MODE_ESTABLISH:
-                        avail = time + 1
-                    else:
-                        avail = time + lat_arr[gid]
-                    avail_arr[gid] = avail
-                    state.occ -= 1
-                    if probe_buffers and pair_arr[gid] >= 0:
-                        arrival = arrivals.pop(pair_arr[gid], None)
-                        if arrival is not None:
-                            intervals.append((arrival, time))
-                    for consumer in cons[gid]:
-                        remaining = pending[consumer] - 1
-                        pending[consumer] = remaining
-                        if opmax[consumer] < avail:
-                            opmax[consumer] = avail
-                        if remaining == 0 and dispatched[consumer]:
-                            ready_at = opmax[consumer]
-                            floor = dispatch_time[consumer] + 1
-                            if ready_at < floor:
-                                ready_at = floor
-                            heappush(
-                                state_of[consumer].wakeup, (ready_at, consumer)
-                            )
-                any_progress = True
-                state.issued += len(batch)
-                state.icyc += 1
-                state.last = time
-            dispatch_budget = state.width
-            gids = state.gids
-            stream_len = len(gids)
-            while (
-                dispatch_budget
-                and state.occ < state.window
-                and state.ptr < stream_len
-            ):
-                gid = gids[state.ptr]
-                dispatched[gid] = 1
-                dispatch_time[gid] = time
-                state.occ += 1
-                state.ptr += 1
-                dispatch_budget -= 1
-                any_progress = True
-                if pending[gid] == 0:
-                    ready_at = opmax[gid]
-                    if ready_at <= time:
-                        ready_at = time + 1
-                    heappush(wakeup, (ready_at, gid))
-            if (
-                state.ptr < stream_len
-                and state.occ < state.window
-                and dispatch_budget == 0
-            ):
-                width_blocked = True
-
-        next_time = _INFINITY
-        for state in states:
-            if state.done():
-                continue
-            if state.ready:
-                candidate = time + 1
-            elif state.wakeup:
-                candidate = state.wakeup[0][0]
-            else:
-                candidate = _INFINITY
-            if candidate < next_time:
-                next_time = candidate
-        if width_blocked and next_time > time + 1:
-            next_time = time + 1
-
-        if esw_enabled and au_state is not None and du_state is not None:
-            sample = _esw_sample(au_state, du_state, issued_flag, orig_index)
-            if sample is not None:
-                # The scheduling state is static until next_time, so
-                # the sample holds for the whole skipped interval.
-                if next_time is _INFINITY:
-                    duration = 1
-                else:
-                    duration = max(1, int(next_time) - time)
-                esw_weighted += sample * duration
-                esw_cycles += duration
-                if sample > esw_peak:
-                    esw_peak = sample
-
-        if all_done:
-            break
-        if next_time is _INFINITY:
-            if any_progress:
-                time += 1
-                continue
-            outstanding = sum(
-                len(s.gids) - s.ptr + s.occ for s in states
-            )
-            raise SimulationDeadlockError(
-                f"no unit can make progress at cycle {time} with "
-                f"{outstanding} instructions outstanding"
-            )
-        if max_cycles is not None and next_time > max_cycles:
-            raise SimulationError(
-                f"simulation exceeded max_cycles={max_cycles}"
-            )
-        time = int(next_time)
-
-    cycles = max(avail_arr) if avail_arr else 0
-    unit_stats = {
-        state.unit: UnitStats(
-            unit=state.unit,
-            instructions=state.issued,
-            last_issue=state.last,
-            issue_cycles=state.icyc,
-        )
-        for state in states
-    }
-    occupancy = occupancy_from_intervals(intervals) if probe_buffers else None
-    issue_times = None
-    if collect_issue_times and issue_time is not None:
-        issue_times = {gid: issue_time[gid] for gid in range(total)}
-    return _result(
-        low,
-        program,
-        memory,
-        cycles,
-        unit_stats,
-        occupancy,
-        esw_peak,
-        esw_weighted / esw_cycles if esw_cycles else 0.0,
-        issue_times,
-    )
-
-
-def _esw_sample(au_state, du_state, issued_flag, orig_index):
-    """Effective-single-window sample (paper section 3).
-
-    The minimum single window that would hold everything from the
-    oldest not-yet-issued DU instruction to the youngest dispatched AU
-    instruction, measured in architectural instructions.
-    """
-    du_gids = du_state.gids
-    position = du_state.oldest
-    du_len = len(du_gids)
-    while position < du_len and issued_flag[du_gids[position]]:
-        position += 1
-    du_state.oldest = position
-    if position >= du_len or au_state.ptr == 0:
-        return None
-    youngest_au = orig_index[au_state.gids[au_state.ptr - 1]]
-    oldest_du = orig_index[du_gids[position]]
-    if youngest_au < oldest_du:
-        return None
-    return youngest_au - oldest_du + 1

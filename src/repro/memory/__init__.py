@@ -1,16 +1,17 @@
 """Memory-system models, all speaking the batched engine protocol.
 
 Every model answers :meth:`~repro.memory.base.MemorySystem.latencies`
-— the struct-of-arrays engine's batched, issue-ordered query — and
-reports a capability (uniform / stateless / stateful) that tells the
-engine how aggressively it may batch. Models: the paper's fixed
+— the struct-of-arrays engine's batched, issue-ordered query; a model
+whose answer is one constant says so through
+:meth:`~repro.memory.base.MemorySystem.uniform_extra_latency`, which
+lets the engine fold it into a latency table. Models: the paper's fixed
 differential, LRU cache hierarchies, the future-work bypass buffer,
 interleaved banks with conflict queuing, and a stride/stream
 prefetcher.
 """
 
 from .banked import BankedMemory
-from .base import CAP_STATEFUL, CAP_STATELESS, CAP_UNIFORM, MemorySystem
+from .base import MemorySystem
 from .buffers import OccupancyStats, occupancy_from_intervals
 from .bypass import BypassBuffer
 from .cache import (
@@ -24,9 +25,6 @@ from .fixed import FixedLatencyMemory
 from .prefetch import StreamPrefetcher
 
 __all__ = [
-    "CAP_STATEFUL",
-    "CAP_STATELESS",
-    "CAP_UNIFORM",
     "MemorySystem",
     "FixedLatencyMemory",
     "CacheMemory",

@@ -16,7 +16,7 @@ issue order, which keeps the model deterministic and cheap to batch.
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .base import CAP_STATEFUL, MemorySystem
+from .base import MemorySystem
 
 __all__ = ["BankedMemory"]
 
@@ -96,9 +96,6 @@ class BankedMemory(MemorySystem):
         self.conflicts += conflicts
         self.total_wait += total_wait
         return out
-
-    def capability(self) -> str:
-        return CAP_STATEFUL
 
     def typical_extra_latency(self) -> int:
         return self.extra

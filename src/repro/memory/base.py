@@ -8,21 +8,20 @@ and since the struct-of-arrays engine issues accesses in batches, the
 question is batched too: :meth:`MemorySystem.latencies` answers for a
 whole issue-order chunk in one call.
 
-Every model also reports a *capability*, which tells the engine how
-aggressively it may batch:
+The engine takes one of two stances towards a model:
 
-* :data:`CAP_UNIFORM` — the answer never depends on the access (the
-  paper's fixed-differential model). The engine folds the cost into
-  one precomputed per-gid latency table and may skip whole loop
-  iterations (docs/timing.md, "Periodic steady state").
-* :data:`CAP_STATELESS` — the answer is a pure function of the address
-  (no history, no clock). The engine precomputes the whole program's
-  extra latencies in a single up-front :meth:`~MemorySystem.latencies`
-  call and never queries the model again.
-* :data:`CAP_STATEFUL` — the answer depends on access history (caches,
-  bypass buffers, bank queues). The engine queries once per unit per
-  cycle with the chunk of accesses issued that cycle, in issue order,
-  which is deterministic.
+* **uniform** — :meth:`~MemorySystem.uniform_extra_latency` returns the
+  one constant answer (the paper's fixed-differential model). The
+  engine folds the cost into one precomputed per-gid latency table and
+  may skip whole loop iterations (docs/timing.md, "Periodic steady
+  state").
+* otherwise **stateful** — the answer may depend on the address, the
+  access history (caches, bypass buffers, bank queues) or the clock.
+  The engine queries once per unit per cycle with the chunk of
+  accesses issued that cycle, in issue order, which is deterministic
+  (or replays the same chunks through the speculative fixed point).
+  A pure function of the address is simply a stateful model without
+  history; it takes the same exact routes.
 
 Chunks arrive in issue order, but the ``now`` timestamps they carry
 are **not contiguous**: every engine loop skips idle cycles, and the
@@ -42,21 +41,7 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
-__all__ = [
-    "CAP_UNIFORM",
-    "CAP_STATELESS",
-    "CAP_STATEFUL",
-    "MemorySystem",
-]
-
-#: Extra latency is address- and time-independent (one constant).
-CAP_UNIFORM = "uniform"
-
-#: Extra latency is a pure function of the address (batchable up front).
-CAP_STATELESS = "stateless"
-
-#: Extra latency depends on access history; must see issue order.
-CAP_STATEFUL = "stateful"
+__all__ = ["MemorySystem"]
 
 
 class MemorySystem(abc.ABC):
@@ -95,34 +80,9 @@ class MemorySystem(abc.ABC):
         extra = self.extra_latency
         return [extra(addr, now) for addr in addrs]
 
-    def latencies_array(self, addrs: Sequence[int], now: int):
-        """Vectorized-query entry for the batch engine.
-
-        Identical contract to :meth:`latencies`; the return value only
-        needs to be array-convertible (list or ndarray). The default
-        delegates to :meth:`latencies`, so model-side counters advance
-        exactly as they would for a scalar run — which is what keeps
-        batched lanes bit-exact, stats included. Stateless models with
-        a native NumPy rule may override this to answer a whole lane's
-        access table without the per-address Python loop.
-        """
-        return self.latencies(addrs, now)
-
     @abc.abstractmethod
     def reset(self) -> None:
         """Forget all state so the model can be reused across runs."""
-
-    def capability(self) -> str:
-        """How the engine may batch this model's queries.
-
-        One of :data:`CAP_UNIFORM`, :data:`CAP_STATELESS` or
-        :data:`CAP_STATEFUL`. The default derives uniformity from
-        :meth:`uniform_extra_latency` and otherwise assumes the safe
-        stateful-ordered contract.
-        """
-        if self.uniform_extra_latency() is not None:
-            return CAP_UNIFORM
-        return CAP_STATEFUL
 
     def typical_extra_latency(self) -> int:
         """A representative extra latency, for speculative first guesses.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..errors import ConfigError
-from .base import CAP_STATEFUL, MemorySystem
+from .base import MemorySystem
 
 __all__ = ["BypassBuffer"]
 
@@ -91,9 +91,6 @@ class BypassBuffer(MemorySystem):
             for slot, extra in zip(miss_slots, extras):
                 out[slot] = extra
         return out
-
-    def capability(self) -> str:
-        return CAP_STATEFUL
 
     def typical_extra_latency(self) -> int:
         # Cold misses dominate until the buffer warms up.

@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from .base import CAP_STATEFUL, MemorySystem
+from .base import MemorySystem
 
 __all__ = [
     "CacheLevelConfig",
@@ -201,9 +201,6 @@ class CacheMemory(MemorySystem):
                 append(miss_extra)
         l1.hits += l1_hits
         return out
-
-    def capability(self) -> str:
-        return CAP_STATEFUL
 
     def typical_extra_latency(self) -> int:
         return self.miss_extra

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .base import CAP_UNIFORM, MemorySystem
+from .base import MemorySystem
 
 __all__ = ["FixedLatencyMemory"]
 
@@ -28,9 +28,6 @@ class FixedLatencyMemory(MemorySystem):
 
     def latencies(self, addrs, now: int) -> list[int]:
         return [self.memory_differential] * len(addrs)
-
-    def capability(self) -> str:
-        return CAP_UNIFORM
 
     def typical_extra_latency(self) -> int:
         return self.memory_differential

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..errors import ConfigError
-from .base import CAP_STATEFUL, MemorySystem
+from .base import MemorySystem
 
 __all__ = ["StreamPrefetcher"]
 
@@ -142,9 +142,6 @@ class StreamPrefetcher(MemorySystem):
             self.prefetches += 1
 
     # -- protocol ----------------------------------------------------------------
-
-    def capability(self) -> str:
-        return CAP_STATEFUL
 
     def typical_extra_latency(self) -> int:
         return self.backing.typical_extra_latency()

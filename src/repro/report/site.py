@@ -601,7 +601,7 @@ def _seconds(value: object) -> str:
 
 def _row_speedup(row: dict) -> str:
     """One speedup cell, whichever baseline the row was measured
-    against (object engine, probing loop, or per-point dispatch)."""
+    against (object engine, probe-route loop, or per-point dispatch)."""
     for key, baseline in (
         ("speedup_vs_objects", "objects"),
         ("speedup_vs_probing", "probing"),

@@ -46,11 +46,7 @@ from repro.machines.batch import (  # noqa: E402
     simulate_batch,
     vector_eligible,
 )
-from repro.memory import (  # noqa: E402
-    CAP_STATELESS,
-    FixedLatencyMemory,
-    MemorySystem,
-)
+from repro.memory import FixedLatencyMemory, MemorySystem  # noqa: E402
 from repro.obs.telemetry import add_counters, zero_counters  # noqa: E402
 from repro.workloads.grammar import FAMILIES  # noqa: E402
 from test_engine_soa import run_unskipped  # noqa: E402
@@ -68,9 +64,9 @@ MEMORY_SPECS = {
     "prefetch": MemorySpec(kind="prefetch", entries=8, streams=2),
 }
 
-#: Kinds whose models answer queries without mutating state; these
-#: must take the vectorized path (checked via the lane counters).
-STATELESS_KINDS = ("fixed",)
+#: Kinds whose models are uniform; these must take the vectorized path
+#: (checked via the lane counters).
+UNIFORM_KINDS = ("fixed",)
 
 
 def dm_configs(window: int) -> dict[Unit, UnitConfig]:
@@ -99,7 +95,7 @@ def compiled_for(name: str, machine: str, scale: int = TINY):
 
 
 class AddressHashMemory(MemorySystem):
-    """A stateless model the vector loop must query identically."""
+    """An address-pure model: not uniform, so never vectorized."""
 
     def __init__(self, base: int = 40) -> None:
         self.base = base
@@ -112,9 +108,6 @@ class AddressHashMemory(MemorySystem):
     def latencies(self, addrs, now):
         self.queries += len(addrs)
         return [self.base + (addr >> 3) % 7 for addr in addrs]
-
-    def capability(self) -> str:
-        return CAP_STATELESS
 
     def reset(self) -> None:
         pass
@@ -165,7 +158,7 @@ class TestLaneParity:
         ]
         refs = [spec.build(md) for _, md in grid]
         results = assert_lane_parity(compiled, lanes, refs)
-        if kind in STATELESS_KINDS:
+        if kind in UNIFORM_KINDS:
             counters = lane_counters(results)
             assert counters["batch_runs"] >= 1
             # Aperiodic lanes may be evicted to the scalar fallback;
@@ -195,7 +188,8 @@ class TestLaneParity:
 
     @pytest.mark.parametrize("machine", ("dm", "swsm"))
     def test_custom_stateless_model_queried_identically(self, machine):
-        """CAP_STATELESS models vectorize; query counts stay bit-exact."""
+        """Address-pure models fall back to the scalar engine, with
+        bit-identical results and query counts."""
         compiled = compiled_for("mdg", machine)
         make = _MAKE_CONFIGS[machine]
         mems = [AddressHashMemory() for _ in range(3)]
@@ -205,7 +199,7 @@ class TestLaneParity:
         ]
         refs = [AddressHashMemory() for _ in range(3)]
         results = assert_lane_parity(compiled, lanes, refs)
-        assert lane_counters(results)["batch_fallback_lanes"] == 0
+        assert lane_counters(results)["batch_fallback_lanes"] == 3
         for lane_mem, ref_mem in zip(mems, refs):
             assert lane_mem.queries == ref_mem.queries
 
@@ -260,7 +254,7 @@ class TestLaneParity:
 
     def test_vector_eligible_predicate(self):
         assert vector_eligible(FixedLatencyMemory(60), 32)
-        assert vector_eligible(AddressHashMemory(), 64)
+        assert not vector_eligible(AddressHashMemory(), 64)
         # Unlimited windows resolve to program length >> the cap.
         assert not vector_eligible(FixedLatencyMemory(60), None)
         assert not vector_eligible(FixedLatencyMemory(60), 4096)

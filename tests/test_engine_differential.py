@@ -19,6 +19,7 @@ from repro import KernelBuilder, Program, Unit, UnitConfig
 from repro.machines import simulate, simulate_naive
 from repro.memory import FixedLatencyMemory
 from repro.partition import MemKind, lower_swsm, partition_dm
+from repro.partition.machine_program import MachineInstruction, MachineProgram
 
 MEMORY_KINDS = (MemKind.LOAD_ISSUE, MemKind.SELF_LOAD, MemKind.PREFETCH_LOAD)
 
@@ -52,6 +53,60 @@ def random_program(seed: int, size: int = 60) -> Program:
                 gate = builder.cvt_f2i(rng.choice(values))
     program = builder.build()
     return program
+
+
+#: Hand-built stream kinds per machine: (plain kinds, memory kinds,
+#: the kind that consumes a buffered datum).
+_HAND_KINDS = {
+    "dm": (
+        (MemKind.NONE, MemKind.COPY, MemKind.STORE_DATA),
+        (MemKind.LOAD_ISSUE, MemKind.PREFETCH_LOAD, MemKind.SELF_LOAD),
+        MemKind.RECEIVE,
+    ),
+    "swsm": (
+        (MemKind.NONE, MemKind.STORE_ADDR, MemKind.ACCESS_STORE),
+        (MemKind.PREFETCH_LOAD, MemKind.PREFETCH_STORE),
+        MemKind.ACCESS_LOAD,
+    ),
+}
+
+
+def hand_built_program(seed: int, machine: str) -> MachineProgram:
+    """A random machine program built from instruction objects, with
+    zero-latency operations (which no compiler emits) mixed in."""
+    rng = random.Random(seed)
+    units = (Unit.AU, Unit.DU) if machine == "dm" else (Unit.SINGLE,)
+    plain, memory, consumer = _HAND_KINDS[machine]
+    streams: dict[Unit, list[MachineInstruction]] = {u: [] for u in units}
+    delivering: list[int] = []
+    for gid in range(rng.randrange(1, 50)):
+        srcs = sorted(rng.sample(range(gid), min(gid, rng.randrange(3))))
+        choice = rng.random()
+        addr = None
+        if choice < 0.25:
+            kind = rng.choice(memory)
+            if kind is not MemKind.PREFETCH_STORE:
+                addr = rng.randrange(64) * 8
+        elif choice < 0.4 and delivering:
+            # srcs[0] names the paired memory operation.
+            kind = consumer
+            pair = rng.choice(delivering[-6:])
+            srcs = [pair] + [s for s in srcs if s != pair]
+        else:
+            kind = rng.choice(plain)
+        if kind in (MemKind.LOAD_ISSUE, MemKind.PREFETCH_LOAD):
+            delivering.append(gid)
+        unit = rng.choice(units)
+        streams[unit].append(MachineInstruction(
+            gid=gid,
+            unit=unit,
+            mem_kind=kind,
+            latency=rng.choice((0, 0, 1, 2, 5)),
+            srcs=tuple(srcs),
+            addr=addr,
+            orig_index=gid,
+        ))
+    return MachineProgram(f"hand{seed}", streams)
 
 
 def dm_configs(window: int) -> dict[Unit, UnitConfig]:
@@ -95,6 +150,39 @@ def test_swsm_engine_matches_naive_reference(seed, window, md):
     naive = simulate_naive(compiled, configs, FixedLatencyMemory(md))
     result = simulate(
         compiled, configs, FixedLatencyMemory(md), collect_issue_times=True
+    )
+    assert_same_schedule(result, naive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    machine=st.sampled_from(["dm", "swsm"]),
+    window=st.sampled_from([1, 2, 4, 16]),
+    width=st.sampled_from([1, 2, 3]),
+    md=st.sampled_from([0, 5, 30]),
+    probes=st.booleans(),
+)
+def test_zero_latency_programs_match_naive_reference(
+    seed, machine, window, width, md, probes
+):
+    """Zero-latency results reach only units later in the same cycle:
+    every field of the result, probes included, equals the oracle's."""
+    program = hand_built_program(seed, machine)
+    program.validate()
+    configs = {
+        unit: UnitConfig(window=window, width=width + index)
+        for index, unit in enumerate(program.units)
+    }
+    probe_esw = probes and machine == "dm"
+    result = simulate(
+        program, configs, FixedLatencyMemory(md),
+        probe_buffers=probes, probe_esw=probe_esw,
+        collect_issue_times=True,
+    )
+    naive = simulate_naive(
+        program, configs, FixedLatencyMemory(md),
+        probe_buffers=probes, probe_esw=probe_esw,
     )
     assert_same_schedule(result, naive)
 

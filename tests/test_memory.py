@@ -7,9 +7,6 @@ import pytest
 from repro import BypassBuffer, ConfigError, FixedLatencyMemory
 from repro.errors import MetricError
 from repro.memory import (
-    CAP_STATEFUL,
-    CAP_STATELESS,
-    CAP_UNIFORM,
     BankedMemory,
     CacheLevelConfig,
     CacheMemory,
@@ -172,19 +169,18 @@ class TestBatchedProtocol:
                 pass
 
         assert Legacy().latencies([0, 1, 2, 9], 5) == [5, 6, 7, 6]
-        assert Legacy().capability() == CAP_STATEFUL
+        assert Legacy().uniform_extra_latency() is None
 
     def test_capabilities(self):
-        assert FixedLatencyMemory(5).capability() == CAP_UNIFORM
-        assert CacheMemory().capability() == CAP_STATEFUL
-        assert BypassBuffer(FixedLatencyMemory(5)).capability() \
-            == CAP_STATEFUL
-        assert BankedMemory().capability() == CAP_STATEFUL
-        assert StreamPrefetcher(FixedLatencyMemory(5)).capability() \
-            == CAP_STATEFUL
-        assert CAP_STATELESS not in (
-            m.capability() for m in self._models()
-        )
+        # Only the fixed differential is uniform; every other model
+        # takes the engine's stateful routes.
+        assert FixedLatencyMemory(5).uniform_extra_latency() == 5
+        assert CacheMemory().uniform_extra_latency() is None
+        assert BypassBuffer(FixedLatencyMemory(5)).uniform_extra_latency() \
+            is None
+        assert BankedMemory().uniform_extra_latency() is None
+        assert StreamPrefetcher(FixedLatencyMemory(5)) \
+            .uniform_extra_latency() is None
 
     def test_time_sensitivity_report(self):
         assert not FixedLatencyMemory(5).time_sensitive()

@@ -288,8 +288,8 @@ class TestNoSharedState:
 
     def test_simulate_touches_no_environment(self, monkeypatch, tmp_path):
         # A direct engine call is a function of its inputs alone: on
-        # every route (uniform and stateless tables, the speculative
-        # fixed point, the event heap, the probing loop) and on both
+        # every route (the uniform table, the speculative fixed point,
+        # the event heap, the probe branch) and on both
         # machines it reads no REPRO_* variable and writes none.
         log = tmp_path / "environ.log"
         program = build_kernel("flo52q", 3_000)
@@ -315,8 +315,7 @@ class TestNoSharedState:
                     )
                     routes.add(result.telemetry.strategy)
         assert routes == {
-            "uniform-table", "stateless-table", "speculative",
-            "events-chunked", "probing",
+            "uniform-table", "speculative", "events-chunked", "probing",
         }
         assert not log.exists(), log.read_text()
 

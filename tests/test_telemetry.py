@@ -37,8 +37,8 @@ SCALE = 1_500
 
 #: Every strategy label an engine run may report.
 KNOWN_STRATEGIES = {
-    "uniform-table", "stateless-table", "speculative", "chunked",
-    "events-chunked", "probing", "batch", "serial", "cached",
+    "uniform-table", "speculative", "chunked", "events-chunked",
+    "probing", "batch", "serial", "cached",
 }
 
 

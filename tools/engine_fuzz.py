@@ -1,14 +1,16 @@
-"""Differential fuzzer: three scheduling engines against the naive oracle.
+"""Differential fuzzer: the scheduling engines against the naive oracle.
 
 Crosses a corpus of generated kernels (``gen:<family>:<seed>`` names)
 plus two paper kernels with both machines (DM, SWSM) and every memory
 model kind in the hierarchy scenario space, then runs each case
-through four columns — shipped ``simulate`` routing (``shipped``), the
+through five columns — shipped ``simulate`` routing (``shipped``), the
 event-heap scheduler driven directly (``events``), the naive
 cycle-by-cycle oracle (``naive``, :mod:`repro.machines.reference`),
-and the batched sweep engine (``repro.machines.batch``, run as a
+the batched sweep engine (``repro.machines.batch``, run as a
 two-lane batch at two memory differentials and compared lane by
-lane) — and diffs the results field by field. Any divergence is a bug
+lane), and the probe route (``probes``: shipped ``simulate`` with the
+buffer probe on, plus the ESW probe on the DM, against the oracle
+with the same probes) — and diffs the results field by field. Any divergence is a bug
 in one of the engines; the tool prints the first mismatching field per
 case and exits non-zero. The oracle steps every cycle, so keep the
 scale small.
@@ -123,6 +125,23 @@ def run_case(program_name: str, scale: int, md: int,
                         f"{case}: batch lane {lane_index} differs from "
                         f"its scalar reference on {', '.join(fields)}"
                     )
+            # Probe column: the probe route against the oracle, both
+            # with the buffer probe (and the ESW probe on the DM).
+            probe_esw = machine_name == "dm"
+            probed = simulate(
+                compiled, configs, spec.build(md), probe_buffers=True,
+                probe_esw=probe_esw, collect_issue_times=True,
+            )
+            naive_probed = simulate_naive(
+                compiled, configs, spec.build(md), probe_buffers=True,
+                probe_esw=probe_esw,
+            )
+            fields = diff_fields(naive_probed, probed)
+            if fields:
+                failures.append(
+                    f"{case}: probed shipped vs naive differ on "
+                    f"{', '.join(fields)}"
+                )
             if verbose and not failures:
                 print(f"  ok {case}: {shipped.cycles} cycles")
     return failures
@@ -159,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}")
         return 1
     print(
-        f"engine fuzz: OK — {cases} cases (x4 columns) agree on every "
+        f"engine fuzz: OK — {cases} cases (x5 columns) agree on every "
         f"field (scale={preset.name}, md={args.md})"
     )
     return 0
