@@ -20,6 +20,11 @@ dm+{banked,prefetch,hierarchy,banked-long} — the time-sensitive /
 long-latency models it was built for — and assert it wins on the
 long-latency ``banked-long`` tier at ``paper`` and ``huge`` scale.
 
+The search-overhead tier (``measure_search``) times the fast loop on a
+kernel whose periodic steady-state search never matches (track on the
+SWSM at window 64), with the skip armed and disarmed, and records the
+ratio: the price a run pays for a search that does not pay off.
+
 Run the full comparison as a script::
 
     PYTHONPATH=src python benchmarks/bench_engine_soa.py
@@ -77,6 +82,13 @@ STATEFUL_MODELS = tuple(
     for label, spec in HIERARCHY_MEMORY_VARIANTS
     if label not in ("fixed", "hierarchy")
 )
+
+
+#: A tier whose steady-state search never matches, yet nearly every
+#: checkpoint passes the cheap per-period checks and is canonicalised:
+#: the worst case for the search.
+SEARCH_KERNEL = "track"
+SEARCH_WINDOW = 64
 
 
 def _best_of(rounds: int, run) -> float:
@@ -253,6 +265,72 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
     return rows
 
 
+def measure_search(scale_name: str, rounds: int = 3) -> list[dict]:
+    """Steady-state search overhead on a run the skip never helps.
+
+    Times the uniform-table fast loop with the skip armed and disarmed
+    (``steady_ok=False``), rounds interleaved, and asserts cycle
+    parity and that the armed run never skipped. The armed row records
+    its time over the disarmed one as ``overhead_vs_disarmed``; the
+    ratio is history, not a gate.
+    """
+    program = build_kernel(SEARCH_KERNEL, PRESETS[scale_name].scale)
+    compiled = SuperscalarMachine.compile(program)
+    low = compiled.lowered()
+    configs = {Unit.SINGLE: UnitConfig(window=SEARCH_WINDOW, width=9,
+                                       name="SWSM")}
+    memory = FixedLatencyMemory(MEMORY_DIFFERENTIAL)
+    addlat = low.addlat_for(DEFAULT_LATENCIES.mem_base + MEMORY_DIFFERENTIAL)
+
+    def run(armed: bool):
+        collector = TelemetryCollector()
+        result = _simulate_fast(
+            low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
+            False, None, steady_ok=armed, chunked=False,
+            collector=collector,
+        )[0]
+        return result, collector
+
+    armed, collector = run(True)
+    disarmed, _ = run(False)
+    assert armed.cycles == disarmed.cycles, (
+        f"armed and disarmed runs disagree on {SEARCH_KERNEL}@{scale_name}:"
+        f" {armed.cycles} vs {disarmed.cycles}"
+    )
+    assert collector.counters["steady_skips"] == 0, (
+        f"{SEARCH_KERNEL}@{scale_name} skipped; the tier needs a run "
+        f"whose search never matches"
+    )
+    seconds = {True: float("inf"), False: float("inf")}
+    for _ in range(rounds):
+        for flag in (True, False):
+            start = time.perf_counter()
+            run(flag)
+            seconds[flag] = min(seconds[flag], time.perf_counter() - start)
+    base = {
+        "scale": scale_name,
+        "machine": f"swsm/{SEARCH_KERNEL}",
+        "window": SEARCH_WINDOW,
+        "instructions": low.total,
+        "cycles": armed.cycles,
+    }
+    return [
+        {
+            **base,
+            "engine": "search-armed",
+            "seconds": round(seconds[True], 6),
+            "ips": round(low.total / seconds[True]),
+            "overhead_vs_disarmed": round(seconds[True] / seconds[False], 3),
+        },
+        {
+            **base,
+            "engine": "search-disarmed",
+            "seconds": round(seconds[False], 6),
+            "ips": round(low.total / seconds[False]),
+        },
+    ]
+
+
 def test_soa_engine_matches_and_records(preset):
     """Parity plus one recorded tier (the active ``REPRO_SCALE``)."""
     scale_name = preset.name if preset.name in PRESETS else "small"
@@ -281,11 +359,24 @@ def test_event_engine_tiers_recorded(preset):
             )
 
 
+def test_search_overhead_recorded(preset):
+    """Never-matching steady-state search, armed vs disarmed, for the
+    active scale; parity asserted, the ratio only recorded."""
+    scale_name = preset.name if preset.name in PRESETS else "small"
+    rows = measure_search(scale_name, rounds=3)
+    record_engine_rows(rows)
+    print(
+        f"\nswsm/{SEARCH_KERNEL}@{scale_name}: armed search costs "
+        f"{rows[0]['overhead_vs_disarmed']:.2f}x the disarmed loop"
+    )
+
+
 def main() -> None:
     all_rows = []
     for scale_name in SCALES:
         all_rows.extend(measure_scale(scale_name))
         all_rows.extend(measure_stateful(scale_name))
+        all_rows.extend(measure_search(scale_name))
     for scale_name in EVENT_SCALES:
         all_rows.extend(measure_events(scale_name))
     record_engine_rows(all_rows)
@@ -306,6 +397,11 @@ def main() -> None:
             print(f"{scale_name:8} {machine_name:14} {probing['ips']:>12,} "
                   f"{events['ips']:>12,} "
                   f"{events['speedup_vs_probing']:>7.1f}x")
+    print(f"\n{'scale':8} {'machine':14} {'search overhead':>16}")
+    for scale_name in SCALES:
+        row = by_key[(scale_name, f"swsm/{SEARCH_KERNEL}", "search-armed")]
+        print(f"{scale_name:8} {row['machine']:14} "
+              f"{row['overhead_vs_disarmed']:>15.2f}x")
 
 
 if __name__ == "__main__":

@@ -63,6 +63,12 @@ _HEADER = {
         "batch": "batched sweep engine, every lane of the axis in one "
                  "SoA stepping loop (repro.machines.batch; rows carry "
                  "'lanes' and 'speedup_vs_per_point')",
+        "search-armed": "uniform-table fast loop with the periodic "
+                        "steady-state skip armed, on a run whose search "
+                        "never matches (rows carry "
+                        "'overhead_vs_disarmed')",
+        "search-disarmed": "the same run with the skip disarmed "
+                           "(_simulate_fast(..., steady_ok=False))",
     },
     "machines": {
         "dm": "access decoupled machine, fixed-differential memory",
@@ -71,6 +77,9 @@ _HEADER = {
                       "cache hierarchy, banked memory, stream prefetcher); "
                       "rows carry a 'memory' field with the model "
                       "description",
+        "swsm/<kernel>": "SWSM on another kernel than the header's, "
+                         "fixed-differential memory; rows carry the "
+                         "'window'",
     },
 }
 

@@ -408,9 +408,10 @@ def _run_vector(
     def lane_fingerprint(lane: int, boundary: int):
         """Scheduler state of one lane relative to (boundary, t).
 
-        The batch twin of the scalar ``_fast_fingerprint``: per-unit
-        stream positions, occupancies and live (gid, ready) slot pairs
-        — sorted by gid so slot indices, which are allocation
+        The batch twin of the scalar engine's canonical checkpoint
+        form (``_canonical`` over a ``_snapshot``): per-unit stream
+        positions, occupancies and live (gid, ready) slot pairs —
+        sorted by gid so slot indices, which are allocation
         artefacts, never enter the fingerprint — plus the relative
         pending/opmax/in-window state of every gid between the oldest
         live instruction and the dispatch frontier plus the dependence

@@ -79,8 +79,8 @@ __all__ = ["UnitStats", "SimulationResult", "simulate"]
 _INFINITY = float("inf")
 
 #: Skip-layer tuning: programs below this size never amortise the
-#: steady-state search, and checkpoint fingerprints are attempted at
-#: most this many times before the engine stops looking.
+#: steady-state search, and at most this many checkpoints are
+#: snapshotted before the engine stops looking.
 _SKIP_MIN_TOTAL = 2048
 _MAX_CHECKPOINTS = 64
 
@@ -502,7 +502,8 @@ def _simulate_fast(
     if steady is not None:
         period = steady.period
         next_boundary = steady.start + period
-        prev_fp: tuple | None = None
+        prev_snap: tuple | None = None
+        prev_canon: tuple | None = None
         prev_boundary = -1
         prev_t = -1
         prev_icyc: tuple[int, ...] = ()
@@ -667,31 +668,37 @@ def _simulate_fast(
             occs[u] = occ
 
         # Steady-state checkpoint: when the dispatch frontier crosses a
-        # period boundary, fingerprint the scheduler state relative to
-        # (boundary, t). Two consecutive boundaries with identical
-        # fingerprints prove the schedule is periodic from here on, and
-        # the remaining full periods are applied as one shift.
+        # period boundary, snapshot the scheduler state at C speed. Two
+        # consecutive boundaries whose states are identical relative to
+        # (boundary, t) prove the schedule is periodic from here on,
+        # and the remaining full periods are applied as one shift. The
+        # canonical forms are built only once the cheap per-period
+        # checks pass, which most checkpoints fail.
         if steady is not None and fmax >= next_boundary:
             boundary = next_boundary
             while next_boundary <= fmax:
                 next_boundary += period
-            fp, lo, hi = _fast_fingerprint(
-                low, boundary, t, fmax, nu, streams, ptrs, lens, occs,
-                readys, wakeups, oldest, pending, opmax, dispatched,
-                issue_time, steady.dep_span,
+            snap = _snapshot(
+                boundary, t, fmax, nu, streams, ptrs, lens, occs, readys,
+                wakeups, oldest, pending, opmax, dispatched, issue_time,
+                steady.dep_span,
             )
-            matched = (
-                fp is not None
-                and fp == prev_fp
+            canon = None
+            if (
+                snap is not None
+                and prev_snap is not None
                 and boundary - prev_boundary == period
                 and t > prev_t
-                and lo >= steady.start
+                and snap[2] >= steady.start
                 and all(
                     issued_cnt[u] - prev_issued[u] == steady.unit_counts[u]
                     for u in range(nu)
                 )
-            )
-            if matched:
+            ):
+                if prev_canon is None:
+                    prev_canon = _canonical(prev_snap, total)
+                canon = _canonical(snap, total)
+            if canon is not None and canon == prev_canon:
                 dt = t - prev_t
                 margin = 2 * period + steady.dep_span + 8
                 k = (total - 1 - fmax - margin) // period
@@ -707,6 +714,7 @@ def _simulate_fast(
                         oldest[u] += advance
                         issued_cnt[u] += k * steady.unit_counts[u]
                         icyc[u] += k * (icyc[u] - prev_icyc[u])
+                    lo, hi = snap[2], snap[3]
                     for g in range(hi, lo - 1, -1):
                         g2 = g + d_gid
                         pending[g2] = pending[g]
@@ -721,7 +729,8 @@ def _simulate_fast(
                     collector.counters["skipped_instructions"] += d_gid
                 steady = None
             else:
-                prev_fp = fp
+                prev_snap = snap
+                prev_canon = canon
                 prev_boundary = boundary
                 prev_t = t
                 prev_icyc = tuple(icyc)
@@ -827,20 +836,19 @@ def _simulate_fast(
     return result, issue_time
 
 
-def _fast_fingerprint(
-    low, boundary, t, fmax, nu, streams, ptrs, lens, occs, readys, wakeups,
+def _snapshot(
+    boundary, t, fmax, nu, streams, ptrs, lens, occs, readys, wakeups,
     oldest, pending, opmax, dispatched, issue_time, dep_span,
 ):
-    """Canonical scheduler state relative to (boundary, t).
+    """Raw scheduler state at a checkpoint, copied with C-speed slices.
 
     Covers everything the future evolution can read: per-unit stream
     positions, occupancies and queues, plus the pending/opmax/window
-    flags of every gid between the oldest live instruction and the
-    dispatch frontier plus the dependence span. Equality of two
-    fingerprints one period apart implies the evolutions are identical
-    up to the (gid, time) shift.
+    flags of every gid between the oldest live instruction (``lo``)
+    and the dispatch frontier plus the dependence span (``hi``).
+    ``None`` when no live region exists or it runs past the program.
     """
-    total = low.total
+    total = len(pending)
     lo = total
     for u in range(nu):
         position = oldest[u]
@@ -853,32 +861,41 @@ def _fast_fingerprint(
             lo = gids[position]
         if limit < lens[u] and gids[limit] < lo:
             lo = gids[limit]
-    if lo == total:
-        return None, lo, lo - 1
     hi = fmax + dep_span
-    if hi >= total:
-        return None, lo, hi
-    base = t * total + boundary
-    unit_part = []
-    for u in range(nu):
-        next_gid = (
-            streams[u][ptrs[u]] - boundary if ptrs[u] < lens[u] else -total
+    if lo == total or hi >= total:
+        return None
+    unit_part = [
+        (
+            streams[u][ptrs[u]] - boundary if ptrs[u] < lens[u] else -total,
+            occs[u], wakeups[u][:], readys[u][:],
         )
-        unit_part.append((
-            next_gid,
-            occs[u],
-            tuple(sorted(e - base for e in wakeups[u])),
-            tuple(sorted(g - boundary for g in readys[u])),
-        ))
-    region = []
-    for g in range(lo, hi + 1):
-        o = opmax[g]
-        region.append((
-            pending[g],
-            o - t if o else None,
-            1 if dispatched[g] and issue_time[g] < 0 else 0,
-        ))
-    return (lo - boundary, tuple(unit_part), tuple(region)), lo, hi
+        for u in range(nu)
+    ]
+    return (
+        boundary, t, lo, hi, unit_part, pending[lo:hi + 1],
+        opmax[lo:hi + 1], dispatched[lo:hi + 1], issue_time[lo:hi + 1],
+    )
+
+
+def _canonical(snapshot, total):
+    """A snapshot relative to its (boundary, t): equality of two taken
+    one period apart implies the evolutions are identical up to the
+    (gid, time) shift."""
+    boundary, t, lo, _, units, pending, opmax, dispatched, issued = snapshot
+    base = t * total + boundary
+    unit_part = tuple([
+        (
+            next_gid, occ,
+            tuple(sorted([e - base for e in wakeup])),
+            tuple(sorted([g - boundary for g in ready])),
+        )
+        for next_gid, occ, wakeup, ready in units
+    ])
+    region = tuple([
+        (p, o - t if o else None, 1 if d and i < 0 else 0)
+        for p, o, d, i in zip(pending, opmax, dispatched, issued)
+    ])
+    return lo - boundary, unit_part, region
 
 
 def _simulate_events(

@@ -36,7 +36,8 @@ from repro.config import DEFAULT_LATENCIES
 from repro.experiments.scales import PRESETS
 from repro.kernels import PAPER_ORDER, build_kernel
 from repro.machines import simulate, simulate_naive
-from repro.machines.engine import _simulate_fast
+from repro.machines import engine
+from repro.machines.engine import _MAX_CHECKPOINTS, _simulate_fast
 from repro.memory import (
     BankedMemory,
     BypassBuffer,
@@ -89,6 +90,25 @@ def run_unskipped(compiled, configs, memory, *, chunked=False):
         True, None, steady_ok=False, chunked=chunked, collector=collector,
     )
     return result, collector
+
+
+def trace_checkpoints(monkeypatch) -> list[tuple[str, object]]:
+    """Log every steady-state snapshot and canonicalisation, in order."""
+    log: list[tuple[str, object]] = []
+    snapshot, canonical = engine._snapshot, engine._canonical
+
+    def logged_snapshot(*args):
+        snap = snapshot(*args)
+        log.append(("snapshot", snap))
+        return snap
+
+    def logged_canonical(snap, total):
+        log.append(("canonical", snap))
+        return canonical(snap, total)
+
+    monkeypatch.setattr(engine, "_snapshot", logged_snapshot)
+    monkeypatch.setattr(engine, "_canonical", logged_canonical)
+    return log
 
 
 def assert_same_schedule(new, old) -> None:
@@ -211,6 +231,46 @@ class TestSteadyStateAccelerator:
         )
         assert collector.counters["steady_skips"] == 0
         assert_same_schedule(enabled, disabled)
+
+    def test_unmatched_search_builds_no_canonical_form(self, monkeypatch):
+        # track on the SWSM never repeats its scheduler state within the
+        # checkpoint budget, and every checkpoint fails a cheap
+        # per-period check: the search snapshots and never canonicalises.
+        compiled = SuperscalarMachine.compile(build_kernel("track", SMALL))
+        log = trace_checkpoints(monkeypatch)
+        result = simulate(compiled, swsm_configs(64), FixedLatencyMemory(0))
+        assert result.telemetry.counters["steady_skips"] == 0
+        assert [kind for kind, _ in log] == ["snapshot"] * _MAX_CHECKPOINTS
+        naive = simulate_naive(compiled, swsm_configs(64),
+                               FixedLatencyMemory(0))
+        assert result.cycles == naive.cycles
+
+    def test_skip_canonicalises_only_checkpoints_that_pass(self, monkeypatch):
+        compiled = DecoupledMachine.compile(build_kernel("trfd", TINY))
+        log = trace_checkpoints(monkeypatch)
+        result = simulate(compiled, dm_configs(16), FixedLatencyMemory(0))
+        assert result.telemetry.counters["steady_skips"] == 1
+        # Group each checkpoint's snapshot with the canonical forms built
+        # while it was compared: its own and, unless cached, its
+        # predecessor's.
+        checkpoints: list[tuple[object, list]] = []
+        for kind, snap in log:
+            if kind == "snapshot":
+                checkpoints.append((snap, []))
+            else:
+                checkpoints[-1][1].append(snap)
+        assert any(built for _, built in checkpoints)
+        for index, (snap, built) in enumerate(checkpoints):
+            assert len(built) <= 2
+            if built:
+                assert built[-1] is snap
+            if len(built) == 2:
+                assert built[0] is checkpoints[index - 1][0]
+        canonicalised = [id(snap) for _, built in checkpoints for snap in built]
+        assert len(canonicalised) == len(set(canonicalised))
+        naive = simulate_naive(compiled, dm_configs(16),
+                               FixedLatencyMemory(0))
+        assert result.cycles == naive.cycles
 
     def test_irregular_program_has_no_steady_state(self):
         rng = random.Random(7)
