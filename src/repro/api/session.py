@@ -98,9 +98,11 @@ class Session:
             (default) groups sweep points that share a compiled program
             and simulates each group of two or more through the batched
             engine (:mod:`repro.machines.batch`); ``False`` keeps every
-            point on the per-point path. Batched runs are bit-exact
-            with per-point runs and write the same per-point disk-cache
-            entries, so this knob never enters cache keys.
+            point on the per-point path. NumPy is imported only when a
+            sweep has such a group; a sweep without one (or a process
+            without NumPy) runs every point per-point. Batched runs are
+            bit-exact with per-point runs and write the same per-point
+            disk-cache entries, so this knob never enters cache keys.
         trace: structured span tracing (:mod:`repro.obs.trace`). A
             path enables JSONL tracing to that file; ``None`` (the
             default) defers to the ``REPRO_TRACE`` environment
@@ -673,11 +675,12 @@ class Session:
         whose lanes would actually vectorize become single batch jobs
         (the unit of pool parallelism), everything else stays on the
         per-point path — pooled when ``jobs > 1``, or left to the
-        serial evaluation loop. Disk-cache writes remain per-point (the
-        results fold through :meth:`_store`), so cache keys and
-        contents are identical to a per-point run.
+        serial evaluation loop. NumPy is imported only once a batch job
+        exists (without it every point stays per-point). Disk-cache
+        writes stay per-point (through :meth:`_store`), so cache keys
+        and contents are identical to a per-point run.
         """
-        from ..machines.batch import vector_eligible
+        from ..machines.batch import load_numpy, vector_eligible
 
         pending = self._pending_points(points)
         if not pending:
@@ -704,6 +707,9 @@ class Session:
                 batched.append(group)
             else:
                 scalar.extend(group)
+        if batched and not load_numpy():
+            scalar.extend(point for group in batched for point in group)
+            batched = []
         for group in batched:
             self.stats["batch_groups"] += 1
             self.stats["batch_points"] += len(group)

@@ -42,20 +42,16 @@ fuzzer (tools/engine_fuzz.py) hold every field of every lane's
 :class:`~repro.machines.engine.SimulationResult` bit-equal to the
 scalar engines.
 
-NumPy is an optional dependency: without it every lane takes the
-scalar fallback and results are unchanged — only the vectorized
-throughput is lost.
+NumPy is an optional dependency, imported only when two or more
+vectorizable lanes are about to run (:func:`load_numpy`). Without it
+every lane takes the scalar fallback and results are unchanged — only
+the vectorized throughput is lost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-
-try:  # pragma: no cover - exercised implicitly by both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
 
 from ..config import DEFAULT_LATENCIES, LatencyModel, UnitConfig
 from ..errors import SimulationDeadlockError
@@ -66,7 +62,10 @@ from . import engine as _engine
 from .engine import SimulationResult, UnitStats
 from .lowered import LoweredProgram
 
-__all__ = ["BatchLane", "simulate_batch", "vector_eligible"]
+__all__ = ["BatchLane", "load_numpy", "simulate_batch", "vector_eligible"]
+
+#: NumPy once :func:`load_numpy` has imported it.
+_np = None
 
 #: Lanes per vectorized run; larger batches are chunked. Bounds the
 #: lane-major array footprint together with `_ELEM_BUDGET`. Wide
@@ -135,7 +134,7 @@ def simulate_batch(
         index for index, lane in enumerate(lanes)
         if _vectorizable(low, lane, latencies)
     ]
-    if len(vector) < 2:
+    if len(vector) < 2 or not load_numpy():
         vector = []
     cap = _lane_cap(low.total)
     for start in range(0, len(vector), cap):
@@ -163,19 +162,31 @@ def simulate_batch(
     return results  # type: ignore[return-value]
 
 
+def load_numpy() -> bool:
+    """Import NumPy for the 2-D loop; False if it is not installed."""
+    global _np
+    if _np is None:
+        try:
+            import numpy as _np
+        except ImportError:
+            return False
+    return True
+
+
 def vector_eligible(memory: MemorySystem, window: int | None) -> bool:
     """Cheap planner predicate: would a lane with this shape vectorize?
 
     The session's batch planner calls this *before* compiling anything:
     lanes that would only fall back to the scalar engine (stateful
-    memory, unlimited or oversized windows, no NumPy) are better left
-    on the per-point path, where a process pool can still spread them —
+    memory, unlimited or oversized windows) are better left on the
+    per-point path, where a process pool can still spread them —
     grouping them into one batch job would serialize them on a single
-    worker for no vectorization win. Conservative by design: a False
-    here costs nothing but the old dispatch; the authoritative check is
+    worker for no vectorization win. It looks at the lane's shape only
+    and never imports NumPy. Conservative by design: a False here costs
+    nothing but the old dispatch; the authoritative check is
     :func:`_vectorizable` at simulation time.
     """
-    if _np is None or window is None or window > _MAX_BATCH_WINDOW:
+    if window is None or window > _MAX_BATCH_WINDOW:
         return False
     return memory.uniform_extra_latency() is not None
 
@@ -190,7 +201,7 @@ def _vectorizable(
     low: LoweredProgram, lane: BatchLane, latencies: LatencyModel
 ) -> bool:
     """Whether a lane may join the 2-D loop (else: scalar fallback)."""
-    if _np is None or low.total == 0 or low.min_latency < 1:
+    if low.total == 0 or low.min_latency < 1:
         return False
     for unit in low.units:
         config = lane.unit_configs.get(unit)

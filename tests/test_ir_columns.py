@@ -107,6 +107,44 @@ def test_shipped_path_makes_no_instruction_objects(name, tmp_path):
     assert "instructions" not in program.__dict__
 
 
+def test_compiling_for_both_machines_hashes_the_program_once(
+    tmp_path, monkeypatch
+):
+    import hashlib
+    from types import SimpleNamespace
+
+    import repro.ir.program as program_module
+
+    hashes: list[str] = []
+
+    def counting(*args):
+        hashes.append("sha256")
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(program_module, "hashlib",
+                        SimpleNamespace(sha256=counting))
+    # The lowering cache looks the digest up on load and again on store.
+    session = Session(scale=TINY, cache_dir=tmp_path)
+    session.compiled("mdg", "dm")
+    session.compiled("mdg", "swsm")
+    assert len(hashes) == 1
+    # A fresh session loads both from disk, hashing its own program once.
+    again = Session(scale=TINY, cache_dir=tmp_path)
+    again.compiled("mdg", "dm")
+    again.compiled("mdg", "swsm")
+    assert len(hashes) == 2
+
+
+def test_digest_follows_a_renamed_program():
+    program = build_kernel("trfd", TINY)
+    before = program.digest()
+    program.name = "renamed"
+    renamed = Program("renamed", program.columns)
+    assert program.digest() == renamed.digest() != before
+    program.name = "trfd"
+    assert program.digest() == before
+
+
 class TestCorpusHandOff:
     SIZE = 6
 
