@@ -2,8 +2,10 @@
 
 Crosses DM and SWSM with three memory-system variants on two kernels —
 a study the per-figure entry points could never express — evaluated
-through a disk-cached session. Run it twice and watch the second
-invocation hit the cache instead of simulating.
+through a session with a cache directory, whose result store
+(``.repro-cache/results.sqlite``) keeps every simulated point. Run it
+twice and watch the second invocation hit the store instead of
+simulating.
 
 Run:  python examples/sweep_api.py
 """

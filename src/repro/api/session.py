@@ -4,12 +4,15 @@
 traces, compiled machine programs, simulation results — and adds two
 things:
 
-* a **content-addressed disk cache** (``cache_dir``): every result is
-  stored under the SHA-256 of (point, scale, latency model, cache
-  format), so a second process, a later session or a re-run of a CLI
-  command reuses earlier simulations byte-for-byte; any change to the
-  spec, the scale or the latencies changes the key and forces a fresh
-  run;
+* a **persistent result store** (``cache_dir``): every result is
+  recorded in ``cache_dir/results.sqlite``, a
+  :class:`~repro.report.ResultStore`, under the SHA-256 of (point,
+  scale, latency model, cache format), so a second process, a later
+  session or a re-run of a CLI command reuses earlier simulations
+  byte-for-byte; any change to the spec, the scale or the latencies
+  changes the key and forces a fresh run. Compiled programs are cached
+  beside it, as files under ``cache_dir/lowered/``. A store attached
+  with :meth:`Session.store` takes the place of ``results.sqlite``;
 * a **pluggable executor** (``jobs``): sweeps fan out over a
   ``concurrent.futures`` process pool, and because every simulation is
   deterministic and cycle-exact the results are identical to a serial
@@ -43,7 +46,7 @@ from ..kernels import build_kernel
 from ..machines import LoweredProgram, SimulationResult
 from ..machines.registry import get_machine
 from ..obs.telemetry import RunTelemetry, add_counters, zero_counters
-from ..obs.trace import SpanTracer
+from ..obs.trace import SpanTracer, tracer_from_env
 from ..partition import MachineProgram
 from .spec import Point, Sweep, point_batch_key, point_digest
 
@@ -82,7 +85,7 @@ class SweepResult:
 
 @dataclass
 class Session:
-    """Builds, compiles, simulates and caches — in memory and on disk.
+    """Builds, compiles, simulates and caches — in memory and in a store.
 
     Attributes:
         scale: approximate architectural instruction count per kernel.
@@ -91,8 +94,11 @@ class Session:
             :class:`~repro.api.spec.Point` fields always win.
         latencies: operation latency model (a fresh instance per
             session — sessions never alias each other's state).
-        cache_dir: directory of the content-addressed result cache;
-            ``None`` disables disk caching.
+        cache_dir: directory of the result store ``results.sqlite``
+            (opened on first use, replaced by an attached :meth:`store`;
+            like any store, used only from the thread that opened it)
+            and the compiled-program cache ``lowered/``; ``None``
+            disables both.
         jobs: default process-pool width for :meth:`run` (1 = serial).
         batch: batched-sweep planner toggle for :meth:`run`. ``True``
             (default) groups sweep points that share a compiled program
@@ -101,8 +107,8 @@ class Session:
             point on the per-point path. NumPy is imported only when a
             sweep has such a group; a sweep without one (or a process
             without NumPy) runs every point per-point. Batched runs are
-            bit-exact with per-point runs and write the same per-point
-            disk-cache entries, so this knob never enters cache keys.
+            bit-exact with per-point runs and record the same per-point
+            store rows, so this knob never enters cache keys.
         trace: structured span tracing (:mod:`repro.obs.trace`). A
             path enables JSONL tracing to that file; ``None`` (the
             default) defers to the ``REPRO_TRACE`` environment
@@ -128,7 +134,10 @@ class Session:
         self._compiled: dict[tuple[str, float, str, str], object] = {}
         self._profiles: dict[str, object] = {}
         self._results: dict[Point, SimulationResult] = {}
-        self._result_store = None
+        # _UNSET until first use, which opens the cache_dir store.
+        self._result_store = _UNSET
+        # Stats a lookup counts: disk_* (cache_dir) or store_hits.
+        self._store_tier = "disk"
         self._store_keys: dict[Point, str] = {}
         self.stats = {
             "evaluated": 0,
@@ -151,9 +160,7 @@ class Session:
         }
         self._tracer: SpanTracer | None = None
         if self.trace is None:
-            env_path = os.environ.get("REPRO_TRACE", "").strip()
-            if env_path:
-                self._tracer = SpanTracer(env_path)
+            self._tracer = tracer_from_env()
         elif self.trace:
             self._tracer = SpanTracer(self.trace)
 
@@ -168,31 +175,33 @@ class Session:
     def store(self, target=_UNSET):
         """The session's persistent :class:`~repro.report.ResultStore`.
 
-        Without an argument, returns the attached store (or ``None``).
-        With one, attaches it and returns it: pass a
-        :class:`~repro.report.ResultStore`, a path (opened on demand),
-        or ``None`` to detach. While attached, every evaluated point —
-        fresh, memory-cached or disk-cached — is upserted under its
-        content-addressed cache key, so the store accumulates exactly
-        the set of distinct operating points this session has seen.
-        Custom (non-registry) programs stay out, for the same reason
-        they stay out of the disk cache: the key does not cover their
+        It is the session's only persistent result tier: points are
+        looked up in it before simulating, and every evaluated point —
+        fresh, memory-cached or store-cached — is recorded under its
+        content-addressed key, so the store accumulates exactly the set
+        of distinct operating points this session has seen. Custom
+        (non-registry) programs stay out: the key does not cover their
         content.
+
+        Without an argument, returns the store in use: the attached
+        one, else ``cache_dir/results.sqlite`` (opened here on first
+        use), else ``None``. With one, attaches it in place of the
+        ``cache_dir`` store and returns it: pass a
+        :class:`~repro.report.ResultStore`, a path (opened on demand),
+        or ``None`` to detach (the session then persists no results).
         """
         if target is _UNSET:
+            if self._result_store is _UNSET:
+                self._result_store = None if self.cache_dir is None else (
+                    _open_store(Path(self.cache_dir) / "results.sqlite")
+                )
             return self._result_store
         # The recorded-key memo is per store: a fresh store must see
         # every point again even if this session already hashed it.
         self._store_keys = {}
-        if target is None:
-            self._result_store = None
-            return None
-        from ..report.store import ResultStore
-
-        if not isinstance(target, ResultStore):
-            target = ResultStore(target)
-        self._result_store = target
-        return target
+        self._store_tier = "store"
+        self._result_store = None if target is None else _open_store(target)
+        return self._result_store
 
     # -- programs ----------------------------------------------------------------
 
@@ -205,8 +214,8 @@ class Session:
 
         Custom programs exist only in this process: points naming them
         are evaluated locally (never shipped to workers) and stay out
-        of the disk cache, whose keys cover only registry kernels —
-        a cached entry for a same-named trace with different content
+        of the result store, whose keys cover only registry kernels —
+        a stored entry for a same-named trace with different content
         would otherwise be silently wrong.
         """
         self._custom[program.name] = program
@@ -265,7 +274,8 @@ class Session:
         """The lowered machine program (cached; window-independent).
 
         With a ``cache_dir``, compiled programs are also shared across
-        processes through a digest-keyed on-disk lowering cache: the
+        processes through a digest-keyed lowering cache, one file per
+        program under ``cache_dir/lowered/``: the
         key covers the *content* of the architectural program
         (:meth:`~repro.ir.Program.digest`), the machine family, the
         partition strategy and the latency model, and the entry stores
@@ -303,7 +313,7 @@ class Session:
     ) -> Path | None:
         """Content address of one compiled program in the lowering cache.
 
-        Keyed by program *content*, so (unlike the result cache) even
+        Keyed by program *content*, so (unlike the result store) even
         custom registered programs are safely cacheable. ``serial``
         skips the cache — its "compilation" is the identity.
         """
@@ -371,7 +381,7 @@ class Session:
         return get_machine(point.machine).canonical(point)
 
     def evaluate(self, point: Point) -> SimulationResult:
-        """Cycle-exact result of one point (memory cache, disk, simulate)."""
+        """Cycle-exact result of one point (memory, store, simulate)."""
         canonical = self._canonical(point)
         cached = self._lookup(canonical)
         if cached is not None:
@@ -380,11 +390,11 @@ class Session:
         result = self._simulate(canonical)
         self._store(canonical, result)
         self.stats["evaluated"] += 1
-        self._record(canonical, result)
         return result
 
     def _record(self, canonical: Point, result: SimulationResult) -> None:
-        store = self._result_store
+        """Write one result to the store; the only persistent write."""
+        store = self.store()
         if store is None or canonical.program in self._custom:
             return
         key = self._store_keys.get(canonical)
@@ -417,47 +427,51 @@ class Session:
             self.stats["memory_hits"] += 1
             return self._results[canonical]
         if canonical.program in self._custom:
-            return None  # disk keys don't cover custom program content
+            return None  # store keys don't cover custom program content
         with self._span(
             "cache.probe",
             program=canonical.program,
             machine=canonical.machine,
         ):
-            loaded = self._disk_load(canonical)
-            if loaded is None:
-                loaded = self._store_load(canonical)
+            loaded = self._store_load(canonical)
         if loaded is not None:
             self._results[canonical] = loaded
-            return loaded
-        return None
+        return loaded
 
     def _store_load(self, canonical: Point) -> SimulationResult | None:
-        """Rehydrate a point from the attached result store, if resident.
+        """Rehydrate a point from the result store, if resident.
 
         This is what makes sweeps resumable: a killed-and-rerun sweep
         against the same store only simulates the missing points — the
-        rest are served from the store's pickled payloads, exactly as a
-        disk-cache hit would be (the keys are the same content
-        addresses).
+        rest are served from the store's pickled payloads. Lookups in
+        the ``cache_dir`` store count as ``disk_hits``/``disk_misses``,
+        hits in an attached store as ``store_hits``.
         """
-        store = self._result_store
+        store = self.store()
         if store is None:
             return None
+        tier = self._store_tier
         key = point_digest(canonical, self.scale, self.latencies)
         result = store.load(key)
         if result is None:
+            if tier == "disk":
+                self.stats["disk_misses"] += 1
             return None
-        self.stats["store_hits"] += 1
+        self.stats[f"{tier}_hits"] += 1
         # The row is already warehoused under this key; remember it so
         # _record touches the key instead of re-pickling the result.
         self._store_keys[canonical] = key
-        return _stamp_tier(result, "store")
+        return _stamp_tier(result, tier)
 
     def _store(self, canonical: Point, result: SimulationResult) -> None:
+        """Memoise and persist a fresh result as soon as it exists.
+
+        Sweep prefetches call this per point, so an interrupted sweep
+        leaves every finished point in the store for a rerun.
+        """
         self._results[canonical] = result
         self._absorb_telemetry(result)
-        if canonical.program not in self._custom:
-            self._disk_store(canonical, result)
+        self._record(canonical, result)
 
     def _absorb_telemetry(self, result: SimulationResult) -> None:
         """Fold one fresh result's telemetry into the session rollup.
@@ -589,7 +603,7 @@ class Session:
         points that are not already cached are evaluated on a process
         pool; results are bit-identical to a serial run (simulations
         are deterministic) and are folded back into this session's
-        memory and disk caches.
+        memory cache and result store.
         """
         if isinstance(sweep, Sweep):
             points = tuple(sweep.points())
@@ -676,9 +690,9 @@ class Session:
         (the unit of pool parallelism), everything else stays on the
         per-point path — pooled when ``jobs > 1``, or left to the
         serial evaluation loop. NumPy is imported only once a batch job
-        exists (without it every point stays per-point). Disk-cache
-        writes stay per-point (through :meth:`_store`), so cache keys
-        and contents are identical to a per-point run.
+        exists (without it every point stays per-point). Results are
+        recorded per point, so store keys and payloads are identical to
+        a per-point run.
         """
         from ..machines.batch import load_numpy, vector_eligible
 
@@ -779,9 +793,10 @@ class Session:
                 "du_width": self.du_width,
                 "swsm_width": self.swsm_width,
                 "latencies": self.latencies,
-                # Workers share the result cache and the digest-keyed
-                # lowering cache: the first worker to need a compiled
-                # program persists it, the rest load it. They never
+                # Workers share the digest-keyed lowering cache: the
+                # first worker to need a compiled program persists it,
+                # the rest load it. They open no result store (this
+                # process records every result they return), and never
                 # inherit tracing: a forked child appending to the
                 # parent's trace file would interleave span streams.
                 "cache_dir": self.cache_dir,
@@ -836,50 +851,6 @@ class Session:
         """
         self._store(canonical, result)
         self.stats["evaluated"] += 1
-
-    # -- disk cache --------------------------------------------------------------
-
-    def _disk_path(self, canonical: Point) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        digest = point_digest(canonical, self.scale, self.latencies)
-        return Path(self.cache_dir) / f"{digest}.pkl"
-
-    def _disk_load(self, canonical: Point) -> SimulationResult | None:
-        path = self._disk_path(canonical)
-        if path is None:
-            return None
-        try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-        except Exception:
-            # Missing or corrupt entry: a miss either way; re-simulate.
-            self.stats["disk_misses"] += 1
-            return None
-        self.stats["disk_hits"] += 1
-        return _stamp_tier(result, "disk")
-
-    def _disk_store(self, canonical: Point, result: SimulationResult) -> None:
-        path = self._disk_path(canonical)
-        if path is None:
-            return
-        if result.telemetry is not None:
-            # Cache entries stay telemetry-free: the payload bytes must
-            # depend only on the simulated schedule, never on which
-            # engine strategy or wall clock produced it (a batched and
-            # a per-point session write identical entries).
-            result = replace(result, telemetry=None)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            # Never leave a half-written entry behind; the error stands.
-            with suppress(OSError):
-                tmp.unlink(missing_ok=True)
-            raise
 
     # -- convenience accessors ---------------------------------------------------
 
@@ -956,13 +927,19 @@ class Session:
         return perfect / actual
 
 
+def _open_store(target):
+    """``target`` as a :class:`~repro.report.ResultStore`."""
+    from ..report.store import ResultStore
+
+    return target if isinstance(target, ResultStore) else ResultStore(target)
+
+
 def _stamp_tier(result: SimulationResult, tier: str) -> SimulationResult:
     """Mark which cache tier served this copy of a result.
 
-    Disk-cache payloads are stored telemetry-free, so a disk hit gets
-    a minimal record (strategy ``cached`` — the producing strategy is
-    not persisted there); store hits arrive with the recorded strategy
-    already attached and only need the tier corrected.
+    Store hits arrive with the recorded strategy attached (from the
+    row's telemetry column) and only need the tier corrected; a row
+    without telemetry gets a minimal record with strategy ``cached``.
     """
     if result.telemetry is None:
         return replace(result, telemetry=RunTelemetry(
@@ -998,6 +975,7 @@ _WORKER_SESSION: Session | None = None
 def _worker_init(config: dict) -> None:
     global _WORKER_SESSION
     _WORKER_SESSION = Session(**config)
+    _WORKER_SESSION.store(None)  # the parent does every result write
 
 
 def _worker_evaluate(point: Point) -> tuple[Point, SimulationResult]:

@@ -104,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="content-addressed on-disk result cache (reused across runs)",
+        help="persistent cache directory, reused across runs: results in "
+        "DIR/results.sqlite, compiled programs in DIR/lowered/ "
+        "(a --store, where given, replaces the results file)",
     )
     parser.add_argument(
         "--batch",
@@ -337,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="WAL-mode results store shared by the workers "
         "(finished points are served from it without re-simulation); "
-        "'none' disables (default: .repro-results.sqlite)",
+        "'none' leaves only the --cache-dir's results.sqlite, if any "
+        "(default: .repro-results.sqlite)",
     )
     serve.add_argument(
         "--site",
@@ -454,8 +457,9 @@ def _print_generate(session: Session, args) -> None:
 
 
 def _report_command(session: Session, preset, args) -> int:
-    if args.store and args.store.lower() != "none":
-        session.store(args.store)
+    if args.store:
+        # 'none' detaches every result store, --cache-dir's included.
+        session.store(None if args.store.lower() == "none" else args.store)
     if args.corpus:
         corpus = load_manifest(args.corpus)
     else:
@@ -478,7 +482,7 @@ def _report_command(session: Session, preset, args) -> int:
     )
     store = session.store()
     if store is not None:
-        print(f"store: {len(store)} results in {args.store}")
+        print(f"store: {len(store)} results in {store.path or args.store}")
     return 0
 
 

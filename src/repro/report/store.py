@@ -1,12 +1,15 @@
 """The persistent results store: an SQLite warehouse of evaluated points.
 
-Every :class:`~repro.api.spec.Point` a :class:`~repro.api.Session`
-evaluates can be recorded here, keyed by the *same* content address the
-session's disk cache uses (:func:`repro.api.spec.point_digest` over
-point, scale, latency model and cache format). The store is therefore
-incremental by construction: recording an already-present key is a
-no-op, so repeated sweeps only append what's new, and two sessions
-writing the same operating points agree byte-for-byte on the keys.
+It is a :class:`~repro.api.Session`'s only persistent result tier
+(``cache_dir/results.sqlite``, or a store attached with
+``session.store(...)``): every :class:`~repro.api.spec.Point` the
+session evaluates is recorded here, keyed by its content address
+(:func:`repro.api.spec.point_digest` over point, scale, latency model
+and cache format). The store is therefore incremental by construction:
+recording an already-present key is a no-op, so repeated sweeps only
+append what's new, and two sessions writing the same operating points
+agree byte-for-byte on the keys. A store is one SQLite connection, used
+only from the thread that opened it.
 
 Each row carries the full operating point (program, machine, window,
 memory differential, issue widths, partition, expansion, memory-system
@@ -37,9 +40,9 @@ __all__ = ["ResultStore", "StoredResult", "SCHEMA_VERSION"]
 
 #: Bump on any change to the row schema below; stores written by a
 #: different version refuse to open instead of silently misreading.
-#: v2 added the ``payload`` column (the pickled full result, same
-#: bytes as a disk-cache entry) so sweeps and the service layer can
-#: rehydrate store-resident points without re-simulating them.
+#: v2 added the ``payload`` column (the pickled full result, without
+#: its telemetry) so sweeps and the service layer can rehydrate
+#: store-resident points without re-simulating them.
 #: v3 added the ``telemetry`` column: the deterministic slice of the
 #: run's :class:`~repro.obs.telemetry.RunTelemetry` (strategy, nonzero
 #: counters, cache tier) as JSON — the payload itself stays
@@ -86,7 +89,7 @@ _COLUMNS = (
 _INSERT_COLUMNS = (*_COLUMNS, "payload")
 
 _INSERT = (
-    f"INSERT OR IGNORE INTO results ({', '.join(_INSERT_COLUMNS)}) "
+    f"INSERT OR {{}} INTO results ({', '.join(_INSERT_COLUMNS)}) "
     f"VALUES ({', '.join('?' * len(_INSERT_COLUMNS))})"
 )
 
@@ -127,8 +130,8 @@ class ResultStore:
 
     Open with a path (created on demand) or ``":memory:"`` for an
     ephemeral store. Attach to a session with ``session.store(store)``
-    so every evaluated point is recorded automatically; or call
-    :meth:`record` directly.
+    (or give the session a ``cache_dir``) so every evaluated point is
+    recorded automatically; or call :meth:`record` directly.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
@@ -142,6 +145,8 @@ class ResultStore:
         self._init_schema(str(path))
         self._tune_concurrency()
         self._seen: set[str] = set()
+        # Keys whose row load() could not read: record() replaces them.
+        self._unreadable: set[str] = set()
         self._groups: list[set[str]] = []
 
     def _tune_concurrency(self) -> None:
@@ -222,7 +227,6 @@ class ResultStore:
             group.add(key)
         if key in self._seen:
             return key
-        self._seen.add(key)
         grammar_version = None
         if point.program.lower().startswith("gen:"):
             from ..workloads.grammar import GRAMMAR_VERSION
@@ -269,8 +273,11 @@ class ResultStore:
             telemetry_json,
             payload,
         )
-        self._con.execute(_INSERT, row)
+        conflict = "REPLACE" if key in self._unreadable else "IGNORE"
+        self._con.execute(_INSERT.format(conflict), row)
         self._con.commit()
+        self._seen.add(key)
+        self._unreadable.discard(key)
         return key
 
     def touch(self, key: str) -> str:
@@ -336,20 +343,24 @@ class ResultStore:
         """Rehydrate the full simulation result stored under ``key``.
 
         Returns ``None`` when the key is absent or its payload is
-        unreadable (a corrupt blob is treated like a cache miss, the
-        same policy as the session's disk cache). This is what lets an
-        attached session — and the service layer — skip re-simulating
+        unreadable. An unreadable row is a miss that the next
+        :meth:`record` of the key rewrites, so a corrupt blob costs one
+        re-simulation, not one per session. This is what lets a
+        session — and the service layer — skip re-simulating
         store-resident points entirely.
         """
         row = self._con.execute(
             "SELECT payload, telemetry FROM results WHERE key = ?", (key,)
         ).fetchone()
-        if row is None or row[0] is None:
+        if row is None:
             return None
         try:
             result = pickle.loads(row[0])
         except Exception:
-            return None  # corrupt payload: treat as a miss, re-simulate
+            # Corrupt or missing payload: a miss that record() heals.
+            self._seen.discard(key)
+            self._unreadable.add(key)
+            return None
         if row[1] is not None and result.telemetry is None:
             from dataclasses import replace as _replace
 

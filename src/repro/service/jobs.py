@@ -2,9 +2,9 @@
 
 A :class:`Job` is one submitted unit of work — a single operating
 point or a whole sweep — identified by a **content address** derived
-from the same cache keys the :class:`~repro.api.Session` disk cache
-and the :class:`~repro.report.ResultStore` use. Identity does the
-heavy lifting:
+from the same keys the :class:`~repro.report.ResultStore` (a
+:class:`~repro.api.Session`'s only persistent result tier) uses.
+Identity does the heavy lifting:
 
 * two submissions of the same work (however spelled — a sweep and the
   equivalent point list hash identically) **coalesce** onto one job:
@@ -18,7 +18,8 @@ heavy lifting:
 The :class:`JobScheduler` owns a bounded priority queue (lower
 ``priority`` value runs first, FIFO within a priority) drained by a
 small pool of worker threads, each with its own :class:`Session`
-sharing one disk cache directory and one WAL-mode result store. The
+sharing one cache directory and one WAL-mode result store
+(``store_path``, else the cache directory's ``results.sqlite``). The
 queue bound is the backpressure contract: a full queue raises
 :class:`~repro.errors.QueueFullError`, which the HTTP layer maps to
 503 + ``Retry-After`` instead of queueing without limit.
@@ -421,9 +422,10 @@ class JobScheduler:
     def _session(self) -> Session:
         """This worker thread's session (created lazily, kept forever).
 
-        Workers share the disk cache directory and the WAL-mode result
+        Workers share the cache directory and the WAL-mode result
         store, so one worker's simulation is every worker's cache hit;
-        SQLite connections stay per-thread, as sqlite3 requires.
+        each session opens its store connection in this thread, as
+        sqlite3 requires.
         """
         session = getattr(self._local, "session", None)
         if session is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,28 @@ class TestReportCommands:
         ]) == 0
         printed = capsys.readouterr().out
         assert "store:" not in printed
+
+    def test_store_none_detaches_the_cache_dir_store(
+        self, capsys, tmp_path
+    ):
+        out, cache = tmp_path / "site", tmp_path / "cache"
+        assert main([
+            "--cache-dir", str(cache), "report", "--scale", "tiny",
+            "--out", str(out), "--store", "none", "--corpus-size", "4",
+        ]) == 0
+        assert "store:" not in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["store"]["attached"] is False
+        assert not (cache / "results.sqlite").exists()
+
+    def test_in_memory_store_is_named_in_the_summary(
+        self, capsys, tmp_path
+    ):
+        assert main([
+            "report", "--scale", "tiny", "--out", str(tmp_path / "site"),
+            "--store", ":memory:", "--corpus-size", "4",
+        ]) == 0
+        assert "results in :memory:" in capsys.readouterr().out
 
     def test_results_on_missing_store(self, capsys, tmp_path):
         assert main([

@@ -4,7 +4,7 @@ The batched engine stacks N sweep lanes — same lowered program,
 different (window, memory) pairs — into one struct-of-arrays stepping
 loop. Its contract is *bit-exactness*: every lane must produce the
 SimulationResult the scalar engine would, and Session-level batching
-must leave disk-cache keys and payloads untouched. The suite checks:
+must leave result-store keys and payloads untouched. The suite checks:
 
 * lane-for-lane parity against ``simulate`` on every declarative
   memory kind and both machine models (stateful kinds exercise the
@@ -13,10 +13,10 @@ must leave disk-cache keys and payloads untouched. The suite checks:
   skip armed and disarmed, and with a leftover ``REPRO_EVENT_ENGINE``
   that must change nothing;
 * Session runs with ``batch=True`` vs ``batch=False``: identical
-  results, identical cache file names, byte-identical payloads,
+  results, identical store keys, byte-identical payloads,
   serial and ``jobs=4``;
 * singleton groups through ``Session.evaluate_batch``, the per-lane
-  batch counters, the on-disk lowering cache, and the warm disk path;
+  batch counters, the on-disk lowering cache, and the warm store path;
 * a Hypothesis property over generated ``gen:<family>:<seed>``
   kernels.
 """
@@ -24,6 +24,7 @@ must leave disk-cache keys and payloads untouched. The suite checks:
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ pytest.importorskip("numpy")
 
 from repro import (  # noqa: E402
     DecoupledMachine,
+    ResultStore,
     SuperscalarMachine,
     Unit,
     UnitConfig,
@@ -282,10 +284,16 @@ def _no_compile(*args, **kwargs):
 
 
 def cache_snapshot(cache_dir) -> dict[str, bytes]:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(cache_dir.glob("*.pkl"))
-    }
+    """Store key -> payload bytes of ``cache_dir``'s result store."""
+    with ResultStore(cache_dir / "results.sqlite") as store:
+        return dict(store._con.execute("SELECT key, payload FROM results"))
+
+
+def drop_results(session) -> None:
+    """Close and delete a session's result store; keep its lowerings."""
+    session.store().close()
+    for path in Path(session.cache_dir).glob("results.sqlite*"):
+        path.unlink()
 
 
 class TestSessionParity:
@@ -295,7 +303,9 @@ class TestSessionParity:
         batched, got, bdir = run_session(tmp_path, "b", batch=True)
         scalar, want, sdir = run_session(tmp_path, "s", batch=False)
         assert got.results == want.results
-        assert cache_snapshot(bdir) == cache_snapshot(sdir)
+        snapshot = cache_snapshot(bdir)
+        assert snapshot == cache_snapshot(sdir)
+        assert len(snapshot) == len(got)
         assert batched.stats["batch_groups"] > 0
         assert batched.stats["batch_points"] > 0
         assert scalar.stats["batch_groups"] == 0
@@ -306,7 +316,9 @@ class TestSessionParity:
         _, got, bdir = run_session(tmp_path, "b4", batch=True, jobs=4)
         _, want, sdir = run_session(tmp_path, "s1", batch=False)
         assert got.results == want.results
-        assert cache_snapshot(bdir) == cache_snapshot(sdir)
+        snapshot = cache_snapshot(bdir)
+        assert snapshot == cache_snapshot(sdir)
+        assert len(snapshot) == len(got)
 
     def test_stateful_memory_sweep_unaffected(self, tmp_path):
         sweep = Sweep.grid(
@@ -364,28 +376,27 @@ class TestLoweringCache:
             "repro.machines.registry.partition_with_strategy", _no_compile
         )
         monkeypatch.setattr("repro.machines.swsm.lower_swsm", _no_compile)
+        drop_results(first)  # force re-simulation, keep lowerings
         second = Session(scale=TINY, cache_dir=cache, batch=True)
-        for path in cache.glob("*.pkl"):
-            path.unlink()  # force re-simulation, keep lowerings
         want = second.run(sweep_for())
         assert want.results == got.results
         assert second.stats["evaluated"] == len(list(sweep_for().points()))
 
     def test_old_layout_entry_recompiles(self, tmp_path):
-        _, got, cache = run_session(tmp_path, "lc", batch=True)
+        first, got, cache = run_session(tmp_path, "lc", batch=True)
         # The format-1 layout: a (program, columns) pair, here pickled
         # at the current key. Loading must recompile, not half-load.
         for path in (cache / "lowered").glob("*.pkl"):
             compiled = pickle.loads(path.read_bytes())
             path.write_bytes(pickle.dumps((compiled, compiled.lowered())))
-        for path in cache.glob("*.pkl"):
-            path.unlink()
+        drop_results(first)
         recovering = Session(scale=TINY, cache_dir=cache, batch=True)
         for machine in ("dm", "swsm"):
             source = recovering.program("trfd")
             assert recovering._lowering_load(source, machine, "slice") is None
         want = recovering.run(sweep_for())
         assert want.results == got.results
+        assert recovering.stats["evaluated"] == len(got)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):
@@ -398,14 +409,14 @@ class TestLoweringCache:
         assert list((tmp_path / "lc" / "lowered").iterdir()) == []
 
     def test_corrupt_entry_recompiles(self, tmp_path):
-        _, got, cache = run_session(tmp_path, "lc", batch=True)
+        first, got, cache = run_session(tmp_path, "lc", batch=True)
         for path in (cache / "lowered").glob("*.pkl"):
             path.write_bytes(b"not a pickle")
-        for path in cache.glob("*.pkl"):
-            path.unlink()
+        drop_results(first)
         recovering = Session(scale=TINY, cache_dir=cache, batch=True)
         want = recovering.run(sweep_for())
         assert want.results == got.results
+        assert recovering.stats["evaluated"] == len(got)
 
 
 class TestWarmPath:

@@ -205,13 +205,17 @@ class TestSessionHook:
         assert len(store) == 1
 
     def test_disk_cache_hits_still_recorded(self, tmp_path):
+        # A point served by the cache-dir store is recorded in a store
+        # attached afterwards (the attached store replaces it).
         point = Point(program="trfd", machine="dm", window=16)
         warm = Session(scale=SCALE, cache_dir=tmp_path / "cache")
         warm.evaluate(point)
         session = Session(scale=SCALE, cache_dir=tmp_path / "cache")
+        session.evaluate(point)
         store = session.store(ResultStore(":memory:"))
         session.evaluate(point)
         assert session.stats["disk_hits"] == 1
+        assert session.stats["evaluated"] == 0
         assert len(store) == 1
 
     def test_track_groups_collect_keys(self, session):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sqlite3
 from collections.abc import MutableMapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -12,7 +13,7 @@ from dataclasses import replace
 import pytest
 from test_engine_soa import ParityCheckedMemory, dm_configs, swsm_configs
 
-from repro import DecoupledMachine, SuperscalarMachine
+from repro import DecoupledMachine, ResultStore, SuperscalarMachine
 from repro.api import MemorySpec, Point, Session, Sweep, speedup_sweep
 from repro.config import LatencyModel
 from repro.errors import ConfigError
@@ -28,6 +29,21 @@ from repro.memory import FixedLatencyMemory
 from repro.workloads import generate_corpus
 
 SCALE = 2_000
+
+
+def store_payloads(cache_dir) -> dict[str, bytes]:
+    """Store key -> payload bytes of ``cache_dir``'s result store."""
+    with ResultStore(cache_dir / "results.sqlite") as store:
+        return dict(store._con.execute("SELECT key, payload FROM results"))
+
+
+def corrupt_payloads(path) -> None:
+    """Overwrite every payload of the store at ``path`` with garbage."""
+    with ResultStore(path) as store:
+        store._con.execute(
+            "UPDATE results SET payload = ?", (b"not a pickle",)
+        )
+        store._con.commit()
 
 
 @pytest.fixture()
@@ -78,24 +94,34 @@ class TestDiskCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path, point):
         session = Session(scale=SCALE, cache_dir=tmp_path)
         session.evaluate(point)
-        for entry in tmp_path.glob("*.pkl"):
-            entry.write_bytes(b"not a pickle")
+        corrupt_payloads(tmp_path / "results.sqlite")
         recovering = Session(scale=SCALE, cache_dir=tmp_path)
         result = recovering.evaluate(point)
         assert recovering.stats["evaluated"] == 1
+        assert recovering.stats["disk_misses"] == 1
         assert result.cycles == session.evaluate(point).cycles
+        # The re-simulation rewrote the row: the next session hits.
+        healed = Session(scale=SCALE, cache_dir=tmp_path)
+        assert healed.evaluate(point) == result
+        assert healed.stats["evaluated"] == 0
+        assert healed.stats["disk_hits"] == 1
 
-    def test_failed_write_leaves_no_temp_file(
-        self, tmp_path, point, monkeypatch
+    def test_failed_store_write_raises_and_leaves_no_row(
+        self, tmp_path, point
     ):
-        def refuse(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr("repro.api.session.os.replace", refuse)
         session = Session(scale=SCALE, cache_dir=tmp_path)
-        with pytest.raises(OSError, match="disk full"):
+        store = session.store()
+        store._con.execute(
+            "CREATE TEMP TRIGGER refuse BEFORE INSERT ON results "
+            "BEGIN SELECT RAISE(ABORT, 'disk full'); END"
+        )
+        with pytest.raises(sqlite3.Error, match="disk full"):
             session.evaluate(point)
-        assert list(tmp_path.rglob("*.tmp.*")) == []
+        assert len(store) == 0
+        # Nothing remembers the failed write: a retry records the row.
+        store._con.execute("DROP TRIGGER refuse")
+        session.evaluate(point)
+        assert len(store) == 1
 
     def test_custom_programs_bypass_disk_cache(self, tmp_path, point):
         """A custom trace shadowing a kernel name must never read (or
@@ -141,7 +167,7 @@ class TestParallelExecutor:
         self, tmp_path
     ):
         """jobs=1 and jobs=4 over a generated-corpus sweep produce
-        identical results *and* identical disk-cache keys."""
+        identical results *and* identical store keys and payloads."""
         corpus = generate_corpus(4, seed=0, scale=SCALE)
         sweep = Sweep.grid(
             name="corpus-determinism",
@@ -160,10 +186,48 @@ class TestParallelExecutor:
         )
         assert serial.points == parallel.points
         assert serial.results == parallel.results
-        serial_keys = sorted(p.name for p in serial_dir.glob("*.pkl"))
-        parallel_keys = sorted(p.name for p in parallel_dir.glob("*.pkl"))
-        assert serial_keys == parallel_keys
-        assert len(serial_keys) == len(sweep)
+        serial_rows = store_payloads(serial_dir)
+        assert serial_rows == store_payloads(parallel_dir)
+        assert len(serial_rows) == len(sweep)
+
+    def test_pool_workers_write_nothing(self, tmp_path, monkeypatch):
+        """Workers hand results home; the parent does every store write."""
+        from repro.api import session as session_module
+
+        log = tmp_path / "writers.log"
+        record, worker_init = ResultStore.record, session_module._worker_init
+
+        def logged(kind, call):
+            def wrapper(*args, **kwargs):
+                with log.open("a") as handle:
+                    handle.write(f"{kind} {os.getpid()}\n")
+                return call(*args, **kwargs)
+            return wrapper
+
+        # Patched before the pool forks, so the workers inherit both.
+        monkeypatch.setattr(ResultStore, "record", logged("record", record))
+        monkeypatch.setattr(
+            session_module, "_worker_init", logged("worker", worker_init)
+        )
+        # Fixed-latency points go to workers as batch groups, the
+        # stateful cache points one by one through Session.evaluate.
+        sweep = Sweep.grid(
+            program="trfd", machine=("dm", "swsm"), window=(8, 16),
+            memory_differential=60,
+            memory=(MemorySpec(kind="fixed"), MemorySpec(kind="cache")),
+        )
+        cache = tmp_path / "cache"
+        Session(scale=SCALE, cache_dir=cache).run(sweep, jobs=2)
+        entries = [line.split() for line in log.read_text().splitlines()]
+        workers = {pid for kind, pid in entries if kind == "worker"}
+        writers = {pid for kind, pid in entries if kind == "record"}
+        assert workers - {str(os.getpid())}, "no pool worker started"
+        assert writers == {str(os.getpid())}
+        assert len(store_payloads(cache)) == len(sweep)
+        assert sorted(
+            path.name for path in cache.iterdir()
+            if not path.name.startswith("results.sqlite")
+        ) == ["lowered"]
 
     def test_generated_kernels_resolve_inside_workers(self):
         """gen: names must resolve in pool workers, not just locally."""
@@ -470,21 +534,52 @@ class TestStoreResidentSkip:
         assert second.stats["evaluated"] == len(points) - 3
         assert outcome.cycles() == Session(scale=SCALE).run(sweep).cycles()
 
-    def test_disk_cache_wins_over_store(self, tmp_path):
-        # With both attached, the disk cache answers first (it needs no
-        # SQLite query); the store only fills genuine disk misses.
+    def test_attached_store_replaces_cache_dir_store(self, tmp_path):
+        # An attached store takes over lookups and writes: the
+        # cache-dir store is neither read nor written while it is on.
         point = Point(program="trfd", machine="dm", window=16,
                       memory_differential=60)
         warm = Session(scale=SCALE, cache_dir=tmp_path / "cache")
-        warm.store(tmp_path / "s.sqlite")
         warm.evaluate(point)
-        warm.store().close()
 
         second = Session(scale=SCALE, cache_dir=tmp_path / "cache")
-        second.store(tmp_path / "s.sqlite")
+        attached = second.store(tmp_path / "s.sqlite")
         second.evaluate(point)
-        assert second.stats["disk_hits"] == 1
-        assert second.stats["store_hits"] == 0
+        second.evaluate(replace(point, window=32))
+        assert second.stats["evaluated"] == 2
+        assert second.stats["disk_hits"] == 0
+        assert second.stats["disk_misses"] == 0
+        assert len(attached) == 2
+        assert len(warm.store()) == 1
+
+        third = Session(scale=SCALE, cache_dir=tmp_path / "cache")
+        third.store(tmp_path / "s.sqlite")
+        third.evaluate(replace(point, window=32))
+        assert third.stats["store_hits"] == 1
+        assert third.stats["disk_hits"] == 0
+
+    def test_corrupt_row_heals(self, tmp_path):
+        point = Point(program="trfd", machine="dm", window=16,
+                      memory_differential=60)
+        path = tmp_path / "heal.sqlite"
+        first = Session(scale=SCALE)
+        first.store(path)
+        fresh = first.evaluate(point)
+        first.store().close()
+        corrupt_payloads(path)
+
+        recovering = Session(scale=SCALE)
+        recovering.store(path)
+        assert recovering.evaluate(point) == fresh
+        assert recovering.stats["evaluated"] == 1
+        assert recovering.stats["store_hits"] == 0
+        recovering.store().close()
+
+        healed = Session(scale=SCALE)
+        healed.store(path)
+        assert healed.evaluate(point) == fresh
+        assert healed.stats["evaluated"] == 0
+        assert healed.stats["store_hits"] == 1
 
     def test_store_hit_still_tracked_for_manifests(self, tmp_path):
         point = Point(program="trfd", machine="dm", window=16,
@@ -517,3 +612,31 @@ class TestInterrupt:
         monkeypatch.setattr(Session, "_store", boom)
         with pytest.raises(KeyboardInterrupt):
             session.run(sweep, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_sweep_resumes_from_the_store(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """Each prefetched result is recorded as it arrives, so a rerun
+        after Ctrl-C simulates only the points not yet finished."""
+        sweep = Sweep.grid(
+            program="trfd", machine=("dm", "swsm"), window=(8, 16),
+            memory_differential=(0, 60),
+        )
+        finished = 3
+        store = Session._store
+
+        def interrupt_after(self, canonical, result):
+            store(self, canonical, result)
+            if self.stats["evaluated"] + 1 == finished:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(Session, "_store", interrupt_after)
+        with pytest.raises(KeyboardInterrupt):
+            Session(scale=SCALE, cache_dir=tmp_path).run(sweep, jobs=jobs)
+        monkeypatch.undo()
+        assert len(store_payloads(tmp_path)) == finished
+        rerun = Session(scale=SCALE, cache_dir=tmp_path)
+        rerun.run(sweep, jobs=jobs)
+        assert rerun.stats["evaluated"] == len(sweep) - finished
+        assert rerun.stats["disk_hits"] == finished
