@@ -35,7 +35,7 @@ from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import as_completed
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -48,7 +48,13 @@ from ..machines.registry import get_machine
 from ..obs.telemetry import RunTelemetry, add_counters, zero_counters
 from ..obs.trace import SpanTracer, tracer_from_env
 from ..partition import MachineProgram
-from .spec import Point, Sweep, point_batch_key, point_digest
+from .spec import (
+    Point,
+    Sweep,
+    latencies_doc,
+    point_batch_key,
+    point_digest,
+)
 
 __all__ = ["Session", "SweepResult"]
 
@@ -56,8 +62,8 @@ __all__ = ["Session", "SweepResult"]
 _UNSET = object()
 
 #: Version of the on-disk lowering-cache entries (bump on any change to
-#: what compilation derives from a program).
-_LOWERING_FORMAT = 2
+#: what compilation derives from a program or to its pickled layout).
+_LOWERING_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -324,7 +330,7 @@ class Session:
             "program": source.digest(),
             "machine": machine,
             "partition": partition,
-            "latencies": asdict(self.latencies),
+            "latencies": latencies_doc(self.latencies),
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()

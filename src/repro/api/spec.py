@@ -206,6 +206,21 @@ class Point:
 
 
 _POINT_FIELDS = tuple(f.name for f in fields(Point))
+_MEMORY_FIELDS = tuple(f.name for f in fields(MemorySpec))
+_LATENCY_FIELDS = tuple(f.name for f in fields(LatencyModel))
+
+
+def memory_doc(memory: MemorySpec) -> dict:
+    """``asdict(memory)`` as JSON sees it, without the deep copy."""
+    doc = {name: getattr(memory, name) for name in _MEMORY_FIELDS}
+    if memory.levels is not None:
+        doc["levels"] = [list(row) for row in memory.levels]
+    return doc
+
+
+def latencies_doc(latencies: LatencyModel) -> dict:
+    """``asdict(latencies)``, without the deep copy."""
+    return {name: getattr(latencies, name) for name in _LATENCY_FIELDS}
 
 
 def point_digest(
@@ -220,11 +235,13 @@ def point_digest(
     names *build* — cached results from an older grammar must not be
     served for them.
     """
+    point_fields = {name: getattr(point, name) for name in _POINT_FIELDS}
+    point_fields["memory"] = memory_doc(point.memory)
     doc = {
         "format": CACHE_FORMAT,
-        "point": asdict(point),
+        "point": point_fields,
         "scale": scale,
-        "latencies": asdict(latencies),
+        "latencies": latencies_doc(latencies),
     }
     # Case-insensitive to match get_kernel's name normalisation.
     if point.program.lower().startswith("gen:"):

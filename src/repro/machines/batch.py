@@ -232,10 +232,12 @@ def _np_tables(low: LoweredProgram):
             # latencies fit comfortably in 32 bits; the lane-major
             # tiles of these tables dominate the setup footprint, so
             # halving them halves the page-faulted setup cost.
-            "n_srcs": _np.asarray(low.n_srcs, dtype=_np.int16),
+            "n_srcs": _np.frombuffer(low._n_srcs, dtype=_np.intc)
+            .astype(_np.int16),
             "base_addlat": _np.asarray(low.base_addlat, dtype=_np.int32),
             "memory_gids": _np.asarray(low.memory_gids, dtype=_np.int64),
-            "unit_index": _np.asarray(low.unit_index, dtype=_np.int16),
+            "unit_index": _np.frombuffer(low._unit, dtype=_np.uint8)
+            .astype(_np.int16),
             "cons_cnt": cons_cnt,
             "cons_off": cons_off,
             "cons_flat": cons_flat,

@@ -426,8 +426,8 @@ def _simulate_fast(
     mem_base = latencies.mem_base
     chunk_latencies = memory.latencies if chunked else None
     cons = low.cons
-    unit_of = low.unit_index
-    pending = list(low.n_srcs)
+    unit_of = low._unit
+    pending = list(low._n_srcs)
     opmax = [0] * total
     dispatched = bytearray(total)
     issue_time = [-1] * total
@@ -449,7 +449,7 @@ def _simulate_fast(
     # the effective-single-window accumulators.
     arrivals: dict[int, int] | None = None
     intervals: list[tuple[int, int]] = []
-    pair = low.pair
+    pair = low._pair
     delivers = low.delivers
     esw_au = esw_du = -1
     esw_peak = esw_weighted = esw_cycles = 0
@@ -465,7 +465,7 @@ def _simulate_fast(
         if probe_esw and Unit.AU in units and Unit.DU in units:
             esw_au = units.index(Unit.AU)
             esw_du = units.index(Unit.DU)
-            orig_index = low.orig_index
+            orig_index = low._orig
 
     steady = None
     if steady_ok and max_cycles is None and total >= _SKIP_MIN_TOTAL:
@@ -954,8 +954,8 @@ def _simulate_events(
     chunk_latencies = memory.latencies
     addlat = low.base_addlat
     cons = low.cons
-    unit_of = low.unit_index
-    pending = list(low.n_srcs)
+    unit_of = low._unit
+    pending = list(low._n_srcs)
     opmax = [0] * total
     dispatched = bytearray(total)
     issue_time = [-1] * total if collect_issue_times else None

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress, pairwise, repeat
+from operator import sub
 
 from ..errors import SimulationError
 from ..partition.machine_program import (
@@ -150,24 +151,26 @@ class LoweredProgram:
     All columns are indexed by gid except ``stream_gids`` (per-unit
     dispatch order). Instances are immutable by convention: the engine
     treats every array, including the tables returned by
-    :meth:`addlat_for`, as read-only. The columns are tuples (or
-    bytearrays): the garbage collector stops tracking a tuple of plain
-    values after one pass, so its full collections do not rescan the
-    columns of every live program.
+    :meth:`addlat_for`, as read-only.
+
+    The columns the engine's hot loops index per gid (``cons``,
+    ``stream_gids``, ``base_addlat``, ``addr``, ``memory_gids``) are
+    tuples, which the garbage collector stops tracking after one pass.
+    The cold columns are stored compactly and never as per-gid Python
+    objects: ``_mode`` and ``_unit`` as ``bytes``; ``_lat``, ``_orig``,
+    ``_pair`` and ``_n_srcs`` as ``array('i')``; the source offsets as
+    CSR, ``_src_flat[_src_start[gid]:_src_start[gid + 1]]``. Their
+    public names (``mode``, ``unit_index``, ``lat``, ``orig_index``,
+    ``pair``, ``n_srcs``, ``src_off``) are tuple views rebuilt on each
+    access; bind one to a local before indexing it in a loop.
     """
 
     __slots__ = (
         "total",
         "units",
         "stream_gids",
-        "n_srcs",
-        "src_off",
         "cons",
-        "mode",
-        "lat",
         "addr",
-        "unit_index",
-        "orig_index",
         "base_addlat",
         "memory_gids",
         "mem_units",
@@ -175,9 +178,16 @@ class LoweredProgram:
         "min_latency",
         "min_dep_offset",
         "dep_span",
-        "pair",
         "delivers",
         "pair_missing",
+        "_n_srcs",
+        "_src_start",
+        "_src_flat",
+        "_mode",
+        "_unit",
+        "_lat",
+        "_orig",
+        "_pair",
         "_addlat_cache",
         "_steady",
         "_np_cache",
@@ -197,19 +207,60 @@ class LoweredProgram:
         programs with ``steady()`` already materialised, which this
         preserves — including a computed ``None``).
         """
-        state = {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in ("_addlat_cache", "_np_cache")
-        }
-        if state["_steady"] is _UNSET:
-            del state["_steady"]
+        state = {slot: getattr(self, slot) for slot in _STATE_SLOTS}
+        if self._steady is not _UNSET:
+            state["_steady"] = self._steady
         return state
 
     def __setstate__(self, state) -> None:
+        # A state pickled in another column layout must fail to load
+        # rather than leave a half-populated program behind.
+        if state.keys() - {"_steady"} != set(_STATE_SLOTS):
+            raise SimulationError(
+                "lowered program pickled in another column layout"
+            )
         self.__init__()
         for slot, value in state.items():
             setattr(self, slot, value)
+
+    @property
+    def n_srcs(self) -> tuple[int, ...]:
+        """Per-gid source count (a view of ``_n_srcs``)."""
+        return tuple(self._n_srcs)
+
+    @property
+    def src_off(self) -> tuple[tuple[int, ...], ...]:
+        """Per-gid ``gid - src`` offsets (a view of the CSR arrays)."""
+        flat = self._src_flat
+        return tuple(
+            tuple(flat[lo:hi]) for lo, hi in pairwise(self._src_start)
+        )
+
+    @property
+    def mode(self) -> tuple[int, ...]:
+        """Per-gid availability mode (``MODE_*``; a view of ``_mode``)."""
+        return tuple(self._mode)
+
+    @property
+    def lat(self) -> tuple[int, ...]:
+        """Per-gid execution latency (a view of ``_lat``)."""
+        return tuple(self._lat)
+
+    @property
+    def unit_index(self) -> tuple[int, ...]:
+        """Per-gid index into ``units`` (a view of ``_unit``)."""
+        return tuple(self._unit)
+
+    @property
+    def orig_index(self) -> tuple[int, ...]:
+        """Per-gid architectural instruction index (a view of ``_orig``)."""
+        return tuple(self._orig)
+
+    @property
+    def pair(self) -> tuple[int, ...]:
+        """Per-gid buffer producer of a consuming kind, else -1 (a view
+        of ``_pair``)."""
+        return tuple(self._pair)
 
     def addlat_for(self, mem_latency: int) -> list[int]:
         """Effective added latency per gid for a uniform memory model.
@@ -257,14 +308,21 @@ class LoweredProgram:
         # Intern the per-gid structural signature: everything the
         # engine reads about an instruction except its address (with a
         # uniform memory model the address never affects timing).
+        # The offsets enter as raw bytes slices of the CSR array, which
+        # are equal exactly when the offset tuples are.
         intern: dict[tuple, int] = {}
         sig = [0] * total
-        unit_index = self.unit_index
-        mode = self.mode
-        lat = self.lat
-        src_off = self.src_off
-        for gid in range(total):
-            key = (unit_index[gid], mode[gid], lat[gid], src_off[gid])
+        unit_index = self._unit
+        flat = self._src_flat.tobytes()
+        size = self._src_flat.itemsize
+        keys = zip(
+            unit_index,
+            self._mode,
+            self._lat,
+            (flat[size * lo: size * hi]
+             for lo, hi in pairwise(self._src_start)),
+        )
+        for gid, key in enumerate(keys):
             code = intern.get(key)
             if code is None:
                 code = len(intern)
@@ -304,6 +362,13 @@ class LoweredProgram:
         return None
 
 
+#: The pickled slots: every column, without the per-process caches.
+_STATE_SLOTS = tuple(
+    slot for slot in LoweredProgram.__slots__
+    if slot not in ("_addlat_cache", "_steady", "_np_cache")
+)
+
+
 class ColumnBuilder:
     """Builds a :class:`LoweredProgram` one machine instruction at a time.
 
@@ -316,7 +381,10 @@ class ColumnBuilder:
     where the unit index points into ``units``, the kind code is the
     instruction's :data:`~repro.partition.machine_program.KIND_CODE`
     and the address is ``0`` for none. :meth:`finish` derives every
-    other column from those six.
+    other column from those six: tuples for the columns the engine
+    indexes per gid, and ``bytes``, ``array('i')`` and CSR for the cold
+    ones, so the rows are the only per-gid containers and they die
+    with the builder.
     """
 
     __slots__ = ("units", "rows")
@@ -348,40 +416,41 @@ class ColumnBuilder:
             zip(*self.rows) if total else (() for _ in range(6))
         )
         kinds = bytes(kind)
+        units = bytes(unit_index)
         gids = range(total)
         low = LoweredProgram()
         low.total = total
         low.units = self.units
-        low.unit_index = unit_index
+        low._unit = units
         if stream_gids is None:
-            units = bytes(unit_index)
             stream_gids = [
                 compress(gids, units.translate(_selector(ui)))
                 for ui in range(len(self.units))
             ]
         low.stream_gids = tuple(map(tuple, stream_gids))
-        low.n_srcs = tuple(map(len, srcs))
-        low.src_off = tuple(
-            tuple(map(g.__sub__, s)) for g, s in zip(gids, srcs)
-        )
+        n_srcs = array("i", map(len, srcs))
+        low._n_srcs = n_srcs
+        low._src_start = array("i", accumulate(n_srcs, initial=0))
+        # Offsets ``gid - src``, flattened without a per-gid container.
+        flat = low._src_flat = array("i", map(
+            sub,
+            chain.from_iterable(map(repeat, gids, n_srcs)),
+            chain.from_iterable(srcs),
+        ))
         floor = total or 1
-        low.min_dep_offset = min(
-            floor, min(map(min, filter(None, low.src_off)), default=floor)
-        )
-        low.dep_span = max(
-            0, max(map(max, filter(None, low.src_off)), default=0)
-        )
-        low.mode = tuple(kinds.translate(_KIND_MODE_TABLE))
-        low.lat = lat
+        low.min_dep_offset = min(floor, min(flat, default=floor))
+        low.dep_span = max(0, max(flat, default=0))
+        low._mode = kinds.translate(_KIND_MODE_TABLE)
+        low._lat = array("i", lat)
         low.addr = addr
-        low.orig_index = orig
+        low._orig = array("i", orig)
         base_addlat = list(lat)
         for gid in compress(gids, kinds.translate(_ESTABLISH_TABLE)):
             base_addlat[gid] = 1
         low.base_addlat = tuple(base_addlat)
         low.is_mem = bytearray(kinds.translate(_MEMORY_TABLE))
         low.memory_gids = tuple(compress(gids, low.is_mem))
-        low.mem_units = tuple(sorted({unit_index[g] for g in low.memory_gids}))
+        low.mem_units = tuple(sorted({units[g] for g in low.memory_gids}))
         low.delivers = bytearray(kinds.translate(_DELIVERS_TABLE))
         low.min_latency = min(
             1, min(compress(lat, kinds.translate(_LATENCY_TABLE)), default=1)
@@ -393,14 +462,13 @@ class ColumnBuilder:
                 for dep in srcs[gid]:
                     consumers[dep].append(gid)
         low.cons = tuple(map(tuple, consumers))
-        pair = [-1] * total
+        pair = low._pair = array("i", [-1]) * total
         unpaired = set()
         for gid in compress(gids, kinds.translate(_CONSUMES_TABLE)):
             if srcs[gid]:
                 pair[gid] = srcs[gid][0]
             else:
                 unpaired.add(gid)
-        low.pair = tuple(pair)
         # In stream order: the buffer probe reports the first one.
         low.pair_missing = tuple(
             (gid, MEM_KINDS[kinds[gid]].value)

@@ -181,6 +181,8 @@ class MachineProgram:
     def streams(self) -> dict[Unit, list[MachineInstruction]]:
         """Per-unit instruction lists, materialised from the columns."""
         low, kinds, tags = self._low, self._kinds, self._tags
+        # The column views are rebuilt on each access: bind them once.
+        lat, src_off, orig = low.lat, low.src_off, low.orig_index
         out: dict[Unit, list[MachineInstruction]] = {}
         for unit, gids in zip(self.units, low.stream_gids):
             out[unit] = [
@@ -188,11 +190,11 @@ class MachineProgram:
                     gid=gid,
                     unit=unit,
                     mem_kind=MEM_KINDS[kinds[gid]],
-                    latency=low.lat[gid],
-                    srcs=tuple(gid - off for off in low.src_off[gid]),
+                    latency=lat[gid],
+                    srcs=tuple(gid - off for off in src_off[gid]),
                     addr=None if kinds[gid] in _NO_ADDRESS else low.addr[gid],
-                    orig_index=low.orig_index[gid],
-                    tag=tags[low.orig_index[gid]],
+                    orig_index=orig[gid],
+                    tag=tags[orig[gid]],
                 )
                 for gid in gids
             ]

@@ -218,9 +218,7 @@ class ResultStore:
         runs — leaves exactly one row. Group tracking (for report
         manifests) sees every key regardless of whether the row was new.
         """
-        from dataclasses import asdict
-
-        from ..api.spec import point_digest
+        from ..api.spec import latencies_doc, memory_doc, point_digest
 
         key = point_digest(point, scale, latencies)
         for group in self._groups:
@@ -262,9 +260,9 @@ class ResultStore:
             point.swsm_width,
             point.partition,
             point.expansion,
-            _to_json(asdict(point.memory)),
+            _to_json(memory_doc(point.memory)),
             scale,
-            _to_json(asdict(latencies)),
+            _to_json(latencies_doc(latencies)),
             result.cycles,
             result.instructions,
             _to_json(dict(result.meta)),

@@ -233,6 +233,43 @@ class TestSweepSerialisation:
         assert kinds == {"fixed", "bypass"}
 
 
+def _asdict_digest(point, scale, latencies):
+    """``point_digest`` spelled through ``dataclasses.asdict``."""
+    import hashlib
+    from dataclasses import asdict
+
+    from repro.api.spec import CACHE_FORMAT
+    from repro.workloads.grammar import GRAMMAR_VERSION
+
+    doc = {
+        "format": CACHE_FORMAT,
+        "point": asdict(point),
+        "scale": scale,
+        "latencies": asdict(latencies),
+    }
+    if point.program.lower().startswith("gen:"):
+        doc["grammar"] = GRAMMAR_VERSION
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: Points covering every memory kind, an unlimited window, a generated
+#: program and explicit hierarchy levels.
+KEY_POINTS = (
+    Point(program="trfd", memory=MemorySpec(kind="fixed")),
+    Point(program="trfd", machine="swsm", window=None,
+          memory=MemorySpec(kind="bypass", entries=16, line_bytes=64)),
+    Point(program="gen:stencil:3", memory=MemorySpec(kind="cache")),
+    Point(program="flo52q", expansion=0.5, memory=MemorySpec(
+        kind="hierarchy", levels=((1024, 32, 2, 1), (8192, 32, 4, 6)),
+    )),
+    Point(program="mdg", partition="balanced",
+          memory=MemorySpec(kind="banked", banks=4, bank_busy=3)),
+    Point(program="GEN:gather:7", window=None, probe_esw=True,
+          memory=MemorySpec(kind="prefetch", streams=2, degree=3)),
+)
+
+
 class TestPointDigest:
     def test_stable(self):
         point = Point(program="trfd", window=16)
@@ -240,6 +277,15 @@ class TestPointDigest:
         assert point_digest(point, 2000, latencies) == point_digest(
             point, 2000, latencies
         )
+
+    @pytest.mark.parametrize(
+        "latencies", [LatencyModel(), LatencyModel(fp_op=5, mem_base=2)]
+    )
+    def test_key_equals_asdict_spelling(self, latencies):
+        for point in KEY_POINTS:
+            assert point_digest(point, 2000, latencies) == _asdict_digest(
+                point, 2000, latencies
+            ), point
 
     def test_sensitive_to_spec_scale_and_latencies(self):
         point = Point(program="trfd", window=16)

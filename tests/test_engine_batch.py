@@ -48,6 +48,8 @@ from repro.machines.batch import (  # noqa: E402
     simulate_batch,
     vector_eligible,
 )
+from repro.errors import SimulationError  # noqa: E402
+from repro.machines.lowered import LoweredProgram  # noqa: E402
 from repro.memory import FixedLatencyMemory, MemorySystem  # noqa: E402
 from repro.obs.telemetry import add_counters, zero_counters  # noqa: E402
 from repro.workloads.grammar import FAMILIES  # noqa: E402
@@ -283,6 +285,17 @@ def _no_compile(*args, **kwargs):
     raise AssertionError("compiled despite a warm lowering cache")
 
 
+class _Pickled:
+    """Pickles as ``cls`` restored from ``state``: an entry written by
+    an older layout of ``cls``."""
+
+    def __init__(self, cls, state) -> None:
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return (self.cls, (), self.state)
+
+
 def cache_snapshot(cache_dir) -> dict[str, bytes]:
     """Store key -> payload bytes of ``cache_dir``'s result store."""
     with ResultStore(cache_dir / "results.sqlite") as store:
@@ -389,6 +402,34 @@ class TestLoweringCache:
         for path in (cache / "lowered").glob("*.pkl"):
             compiled = pickle.loads(path.read_bytes())
             path.write_bytes(pickle.dumps((compiled, compiled.lowered())))
+        drop_results(first)
+        recovering = Session(scale=TINY, cache_dir=cache, batch=True)
+        for machine in ("dm", "swsm"):
+            source = recovering.program("trfd")
+            assert recovering._lowering_load(source, machine, "slice") is None
+        want = recovering.run(sweep_for())
+        assert want.results == got.results
+        assert recovering.stats["evaluated"] == len(got)
+
+    def test_format2_column_layout_recompiles(self, tmp_path):
+        first, got, cache = run_session(tmp_path, "lc", batch=True)
+        # The format-2 layout: the per-gid columns as tuple slots named
+        # like today's views, pickled at the current key.
+        old_slots = (
+            "total", "units", "stream_gids", "n_srcs", "src_off", "cons",
+            "mode", "lat", "addr", "unit_index", "orig_index",
+            "base_addlat", "memory_gids", "mem_units", "is_mem",
+            "min_latency", "min_dep_offset", "dep_span", "pair",
+            "delivers", "pair_missing", "_steady",
+        )
+        for path in (cache / "lowered").glob("*.pkl"):
+            compiled = pickle.loads(path.read_bytes())
+            low = compiled.lowered()
+            state = {slot: getattr(low, slot) for slot in old_slots}
+            compiled._low = _Pickled(LoweredProgram, state)
+            path.write_bytes(pickle.dumps(compiled))
+        with pytest.raises(SimulationError, match="column layout"):
+            pickle.loads(path.read_bytes())
         drop_results(first)
         recovering = Session(scale=TINY, cache_dir=cache, batch=True)
         for machine in ("dm", "swsm"):

@@ -314,3 +314,55 @@ class TestPayloads:
         store._con.commit()
         assert store.load(key) is None
         assert store.get(key) is not None  # typed row still readable
+
+
+class TestRowSpelling:
+    def test_key_and_spec_columns_match_asdict(self):
+        """Row JSON and keys are spelled as ``dataclasses.asdict`` would."""
+        import hashlib
+        import json
+        from dataclasses import asdict
+
+        from repro.config import LatencyModel
+
+        def to_json(data):
+            return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+        latencies = LatencyModel(fp_op=5, mem_base=2)
+        session = Session(scale=SCALE, latencies=latencies)
+        store = ResultStore(":memory:")
+        memories = (
+            MemorySpec(kind="fixed"),
+            MemorySpec(kind="bypass", entries=16),
+            MemorySpec(kind="cache"),
+            MemorySpec(kind="hierarchy",
+                       levels=((1024, 32, 2, 1), (8192, 32, 4, 6))),
+            MemorySpec(kind="banked", banks=4),
+            MemorySpec(kind="prefetch", streams=2),
+        )
+        points = [
+            Point(program="trfd", window=None, memory_differential=20,
+                  memory=memory)
+            for memory in memories
+        ] + [Point(program="gen:streaming:1", window=8)]
+        for point in points:
+            key = store.record(
+                point, SCALE, latencies, session.evaluate(point)
+            )
+            doc = {
+                "format": CACHE_FORMAT,
+                "point": asdict(point),
+                "scale": SCALE,
+                "latencies": asdict(latencies),
+            }
+            if point.program.startswith("gen:"):
+                doc["grammar"] = GRAMMAR_VERSION
+            digest = hashlib.sha256(to_json(doc).encode("utf-8"))
+            assert key == digest.hexdigest()
+            memory, lat = store._con.execute(
+                "SELECT memory, latencies FROM results WHERE key = ?",
+                (key,),
+            ).fetchone()
+            assert memory == to_json(asdict(point.memory))
+            assert lat == to_json(asdict(latencies))
+        store.close()
