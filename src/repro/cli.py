@@ -480,6 +480,13 @@ def _report_command(session: Session, preset, args) -> int:
         f"{len(manifest['pages'])} files ({charts} SVG charts) "
         f"-> {args.out}"
     )
+    # A warm rebuild serves every point from the store (an attached
+    # --store counts store hits, the --cache-dir store disk hits).
+    stats = session.telemetry()["stats"]
+    print(
+        f"points: {stats['store_hits'] + stats['disk_hits']} from the "
+        f"store, {stats['evaluated']} simulated"
+    )
     store = session.store()
     if store is not None:
         print(f"store: {len(store)} results in {store.path or args.store}")

@@ -45,9 +45,21 @@ __all__ = ["ArrayHandle", "KernelBuilder"]
 #: Arrays are laid out on aligned slabs so addresses never collide.
 _ARRAY_ALIGNMENT = 1 << 20
 
-# Enum class attribute lookups are slow on Python 3.11; the hot paths
-# use these module constants instead.
-_IADD, _LOAD, _STORE = Opcode.IADD, Opcode.LOAD, Opcode.STORE
+# Opcode codes, resolved once: an enum attribute lookup per emitted
+# instruction is slow on Python 3.11.
+(_IADD, _ISUB, _IMUL, _IAND, _SHIFT, _CMP, _SELECT, _CVT_F2I, _CVT_I2F,
+ _FADD, _FSUB, _FMUL, _FMA, _FDIV, _FSQRT, _FNEG, _FMAX, _LOAD, _STORE) = (
+    OPCODE_INDEX[name] for name in (
+        "iadd", "isub", "imul", "iand", "shift", "cmp", "select", "cvt.f2i",
+        "cvt.i2f", "fadd", "fsub", "fmul", "fma", "fdiv", "fsqrt", "fneg",
+        "fmax", "load", "store",
+    )
+)
+
+# Emitted values are made without the frozen dataclass's __init__ and
+# __post_init__ round trip; an emitted index is never negative.
+_new = object.__new__
+_set_index = Value.__dict__["index"].__set__
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,7 @@ class KernelBuilder:
         self._arrays[name] = handle
         return handle
 
-    # -- raw emission ----------------------------------------------------------
+    # -- emission --------------------------------------------------------------
 
     def emit(
         self,
@@ -121,21 +133,50 @@ class KernelBuilder:
         tag: str = "",
     ) -> Value:
         """Append one instruction; returns the value it produces."""
+        return self._push(
+            OPCODE_INDEX[opcode._value_], srcs, addr_src,
+            -1 if addr is None else addr,
+            -1 if mem_dep is None else mem_dep,
+            tag,
+        )
+
+    def _push(
+        self,
+        code: int,
+        srcs: tuple[Value, ...],
+        addr_src: Value | None,
+        addr: int,
+        mem_dep: int,
+        tag: str,
+    ) -> Value:
+        """Append one row of columns: the path every emission takes.
+
+        ``code`` is the opcode code; ``addr`` and ``mem_dep`` are column
+        entries (``-1`` for none). Operands must be already-emitted
+        :class:`Value` objects.
+        """
         index = len(self._tags)
+        row = ()
         for src in srcs:
-            if not isinstance(src, Value) or src.index >= index:
+            if isinstance(src, Value) and src.index < index:
+                row += (src.index,)
+            else:
                 self._reject(src, index)
-        if addr_src is not None and (
-            not isinstance(addr_src, Value) or addr_src.index >= index
-        ):
+        if addr_src is None:
+            a_src = -1
+        elif isinstance(addr_src, Value) and addr_src.index < index:
+            a_src = addr_src.index
+        else:
             self._reject(addr_src, index)
-        self._opcode.append(OPCODE_INDEX[opcode._value_])
-        self._srcs.append(tuple([src.index for src in srcs]) if srcs else ())
-        self._addr_src.append(-1 if addr_src is None else addr_src.index)
-        self._addr.append(-1 if addr is None else addr)
-        self._mem_dep.append(-1 if mem_dep is None else mem_dep)
+        self._opcode.append(code)
+        self._srcs.append(row)
+        self._addr_src.append(a_src)
+        self._addr.append(addr)
+        self._mem_dep.append(mem_dep)
         self._tags.append(tag)
-        return Value(index)
+        value = _new(Value)
+        _set_index(value, index)
+        return value
 
     @staticmethod
     def _reject(value: object, emitted: int) -> None:
@@ -150,61 +191,63 @@ class KernelBuilder:
     # -- arithmetic ------------------------------------------------------------
 
     def _arith(self, opcode: Opcode, srcs: tuple[Value, ...], tag: str) -> Value:
-        if opcode is _LOAD or opcode is _STORE:
+        """Emit any arithmetic opcode (the typed helpers below cover all
+        but ``ior``)."""
+        if opcode is Opcode.LOAD or opcode is Opcode.STORE:
             raise BuilderError(f"{opcode.value} is not an arithmetic opcode")
-        return self.emit(opcode, srcs=srcs, tag=tag)
+        return self._push(OPCODE_INDEX[opcode._value_], srcs, None, -1, -1, tag)
 
     def iadd(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.IADD, srcs, tag)
+        return self._push(_IADD, srcs, None, -1, -1, tag)
 
     def isub(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.ISUB, srcs, tag)
+        return self._push(_ISUB, srcs, None, -1, -1, tag)
 
     def imul(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.IMUL, srcs, tag)
+        return self._push(_IMUL, srcs, None, -1, -1, tag)
 
     def iand(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.IAND, srcs, tag)
+        return self._push(_IAND, srcs, None, -1, -1, tag)
 
     def shift(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.SHIFT, srcs, tag)
+        return self._push(_SHIFT, srcs, None, -1, -1, tag)
 
     def cmp(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.CMP, srcs, tag)
+        return self._push(_CMP, srcs, None, -1, -1, tag)
 
     def select(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.SELECT, srcs, tag)
+        return self._push(_SELECT, srcs, None, -1, -1, tag)
 
     def cvt_f2i(self, src: Value, tag: str = "") -> Value:
         """Float-to-int conversion: the bridge from data to address domain."""
-        return self._arith(Opcode.CVT_F2I, (src,), tag)
+        return self._push(_CVT_F2I, (src,), None, -1, -1, tag)
 
     def cvt_i2f(self, src: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.CVT_I2F, (src,), tag)
+        return self._push(_CVT_I2F, (src,), None, -1, -1, tag)
 
     def fadd(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FADD, srcs, tag)
+        return self._push(_FADD, srcs, None, -1, -1, tag)
 
     def fsub(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FSUB, srcs, tag)
+        return self._push(_FSUB, srcs, None, -1, -1, tag)
 
     def fmul(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FMUL, srcs, tag)
+        return self._push(_FMUL, srcs, None, -1, -1, tag)
 
     def fma(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FMA, srcs, tag)
+        return self._push(_FMA, srcs, None, -1, -1, tag)
 
     def fdiv(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FDIV, srcs, tag)
+        return self._push(_FDIV, srcs, None, -1, -1, tag)
 
     def fsqrt(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FSQRT, srcs, tag)
+        return self._push(_FSQRT, srcs, None, -1, -1, tag)
 
     def fneg(self, src: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FNEG, (src,), tag)
+        return self._push(_FNEG, (src,), None, -1, -1, tag)
 
     def fmax(self, *srcs: Value, tag: str = "") -> Value:
-        return self._arith(Opcode.FMAX, srcs, tag)
+        return self._push(_FMAX, srcs, None, -1, -1, tag)
 
     # -- induction and addressing ------------------------------------------------
 
@@ -216,8 +259,9 @@ class KernelBuilder:
         creates the one-cycle-per-iteration induction chain real
         unrolled code carries.
         """
-        srcs = () if prev is None else (prev,)
-        return self.iadd(*srcs, tag=tag)
+        return self._push(
+            _IADD, () if prev is None else (prev,), None, -1, -1, tag
+        )
 
     def address(
         self, array: ArrayHandle, index: int, *deps: Value, tag: str = ""
@@ -229,10 +273,19 @@ class KernelBuilder:
         indirect references, a converted data value for data-dependent
         references.
         """
-        element = array.element(index)
-        value = self.emit(_IADD, deps, tag=tag or f"addr:{array.name}")
-        self._addr_of[value.index] = element
-        return value
+        return self._address(array, index, deps, tag)[0]
+
+    def _address(
+        self, array: ArrayHandle, index: int, deps: tuple[Value, ...], tag: str
+    ) -> tuple[Value, int]:
+        """Emit the address add of ``array[index]``; returns it and the
+        concrete address it carries."""
+        addr = array.element(index)
+        value = self._push(
+            _IADD, deps, None, -1, -1, tag or f"addr:{array.name}"
+        )
+        self._addr_of[value.index] = addr
+        return value, addr
 
     def concrete_address(self, value: Value) -> int:
         """The concrete address carried by an address value."""
@@ -247,36 +300,21 @@ class KernelBuilder:
 
     def load_at(self, addr_value: Value, tag: str = "") -> Value:
         """Load through a previously computed address value."""
-        addr = self.concrete_address(addr_value)
-        return self.emit(
-            _LOAD,
-            addr_src=addr_value,
-            addr=addr,
-            mem_dep=self._last_store.get(addr),
-            tag=tag,
-        )
+        return self._load(addr_value, self.concrete_address(addr_value), tag)
 
     def store_at(self, addr_value: Value, data: Value | None, tag: str = "") -> None:
         """Store ``data`` through a previously computed address value.
 
         ``data`` may be ``None`` for stores of immediates.
         """
-        addr = self.concrete_address(addr_value)
-        value = self.emit(
-            _STORE,
-            srcs=() if data is None else (data,),
-            addr_src=addr_value,
-            addr=addr,
-            tag=tag,
-        )
-        self._last_store[addr] = value.index
+        self._store(addr_value, self.concrete_address(addr_value), data, tag)
 
     def load(
         self, array: ArrayHandle, index: int, *addr_deps: Value, tag: str = ""
     ) -> Value:
         """Address computation plus load of ``array[index]``."""
-        addr_value = self.address(array, index, *addr_deps, tag=tag)
-        return self.load_at(addr_value, tag=tag)
+        addr_value, addr = self._address(array, index, addr_deps, tag)
+        return self._load(addr_value, addr, tag)
 
     def store(
         self,
@@ -287,8 +325,23 @@ class KernelBuilder:
         tag: str = "",
     ) -> None:
         """Address computation plus store to ``array[index]``."""
-        addr_value = self.address(array, index, *addr_deps, tag=tag)
-        self.store_at(addr_value, data, tag=tag)
+        addr_value, addr = self._address(array, index, addr_deps, tag)
+        self._store(addr_value, addr, data, tag)
+
+    def _load(self, addr_value: Value, addr: int, tag: str) -> Value:
+        """Emit a load of ``addr``, ordered after the last store to it."""
+        return self._push(
+            _LOAD, (), addr_value, addr, self._last_store.get(addr, -1), tag
+        )
+
+    def _store(
+        self, addr_value: Value, addr: int, data: Value | None, tag: str
+    ) -> None:
+        """Emit a store to ``addr``; later loads of it are ordered after."""
+        value = self._push(
+            _STORE, () if data is None else (data,), addr_value, addr, -1, tag
+        )
+        self._last_store[addr] = value.index
 
     # -- reductions ------------------------------------------------------------
 

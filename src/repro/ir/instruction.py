@@ -26,7 +26,7 @@ from .types import OPCODE_CLASS, OpClass, Opcode
 __all__ = ["Value", "Instruction"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """An SSA value: the result of the instruction at ``index``."""
 

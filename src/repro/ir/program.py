@@ -21,6 +21,7 @@ import hashlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
 
 from ..config import DEFAULT_LATENCIES, LatencyModel
 from ..errors import IRValidationError
@@ -39,7 +40,19 @@ from .types import (
 
 __all__ = ["Program", "ProgramStats", "TraceColumns"]
 
-_OPCODE_VALUES = tuple(opcode.value for opcode in OPCODES)
+#: ``repr`` of each opcode's value, by opcode code: the digest's spelling.
+_OPCODE_REPRS = tuple(repr(opcode.value) for opcode in OPCODES)
+#: Rows the digest writes and hashes at a time.
+_DIGEST_CHUNK = 1024
+
+
+def _row_format(n_srcs: int) -> str:
+    """``%`` format spelling one digest row with ``n_srcs`` operands."""
+    if n_srcs == 1:
+        srcs = "(%r,)"
+    else:
+        srcs = "(" + ", ".join(["%r"] * n_srcs) + ")"
+    return "(%d, %s, " + srcs + ", %s, %s, %s, %s)"
 
 
 @dataclass(frozen=True)
@@ -216,31 +229,43 @@ class Program(Sequence[Instruction]):
 
         Covers the name and every instruction field (opcode, operands,
         addresses, memory-ordering edges, tags) but not ``meta``, so two
-        builds are equal exactly when they execute identically. Corpus
-        manifests record this digest, and the registry purity tests use
-        it to enforce the determinism contract of
-        :mod:`repro.kernels.base`. Computed once per name and columns.
+        builds of valid programs are equal exactly when they execute
+        identically. Corpus manifests record this digest, the lowering
+        cache keys on it, the golden fixtures pin it, and the registry
+        purity tests use it to enforce the determinism contract of
+        :mod:`repro.kernels.base`; so the hashed spelling below is a
+        contract and must not change. Computed once per name and
+        columns.
         """
         memo = self.__dict__.get("_digest")
         if memo and memo[0] == self.name and memo[1] is self.columns:
             return memo[2]
-        hasher = hashlib.sha256()
-        hasher.update(self.name.encode("utf-8"))
+        hasher = hashlib.sha256(self.name.encode("utf-8"))
         cols = self.columns
-        # One repr row per instruction, spelled as the Instruction
-        # fields (None where a column holds -1).
-        for index, (code, srcs, addr_src, addr, mem_dep, tag) in enumerate(
-            zip(cols.opcode, cols.srcs, cols.addr_src, cols.addr,
-                cols.mem_dep, cols.tags)
-        ):
-            row = (
-                index, _OPCODE_VALUES[code], srcs,
-                None if addr_src < 0 else addr_src,
-                None if addr < 0 else addr,
-                None if mem_dep < 0 else mem_dep,
-                tag,
+        # The hashed text is, per row, the repr of the Instruction-fields
+        # tuple (index, opcode value, srcs, addr_src, addr, mem_dep, tag)
+        # with None where a column holds a negative sentinel. It is
+        # written straight from the columns, one format per operand
+        # count, and hashed a chunk of rows at a time.
+        formats = [
+            _row_format(n)
+            for n in range(max(map(len, cols.srcs), default=0) + 1)
+        ]
+        tag_reprs = {tag: repr(tag) for tag in set(cols.tags)}
+        rows = zip(count(), cols.opcode, cols.srcs, cols.addr_src,
+                   cols.addr, cols.mem_dep, cols.tags)
+        while chunk := [
+            formats[len(srcs)] % (
+                index, _OPCODE_REPRS[code], *srcs,
+                "None" if addr_src < 0 else addr_src,
+                "None" if addr < 0 else addr,
+                "None" if mem_dep < 0 else mem_dep,
+                tag_reprs[tag],
             )
-            hasher.update(repr(row).encode("utf-8"))
+            for index, code, srcs, addr_src, addr, mem_dep, tag
+            in islice(rows, _DIGEST_CHUNK)
+        ]:
+            hasher.update("".join(chunk).encode("utf-8"))
         self._digest = (self.name, self.columns, hasher.hexdigest())
         return self._digest[2]
 
@@ -287,9 +312,12 @@ class Program(Sequence[Instruction]):
             if m_dep != -1 and not 0 <= m_dep < i:
                 _raise_not_earlier(i, m_dep)
             if code >= OP_LOAD:
-                if address == -1:
+                if address < 0:
                     raise IRValidationError(
                         f"memory instruction {i} has no address"
+                        if address == -1 else
+                        f"memory instruction {i} has negative address "
+                        f"{address}"
                     )
             elif address != -1:
                 raise IRValidationError(
@@ -318,27 +346,53 @@ class Program(Sequence[Instruction]):
         execution time with these latencies and infinite resources, and
         is used by tests and by the analytic models in the docs.
         """
-        if memory_differential < 0:
+        return self._critical_paths(
+            memory_differential, memory_differential, latencies
+        )[0]
+
+    def _critical_paths(
+        self,
+        md_a: int,
+        md_b: int,
+        latencies: LatencyModel = DEFAULT_LATENCIES,
+    ) -> tuple[int, int]:
+        """:meth:`critical_path` at two memory differentials, from one
+        walk over the columns (the characterizer needs md 0 and the
+        default differential)."""
+        if md_a < 0 or md_b < 0:
             raise IRValidationError("memory differential must be >= 0")
         cols = self.columns
-        cost = class_latencies(latencies, memory_differential)
-        finish = [0] * len(cols.op)
-        longest = 0
+        cost_a = class_latencies(latencies, md_a)
+        cost_b = class_latencies(latencies, md_b)
+        finish_a = [0] * len(cols.op)
+        finish_b = [0] * len(cols.op)
+        longest_a = longest_b = 0
         for i, (srcs, addr_src, mem_dep, lat_class) in enumerate(zip(
             cols.srcs, cols.addr_src, cols.mem_dep, cols.lat_class
         )):
-            start = 0
+            start_a = start_b = 0
             for dep in srcs:
-                if finish[dep] > start:
-                    start = finish[dep]
-            if addr_src >= 0 and finish[addr_src] > start:
-                start = finish[addr_src]
-            if mem_dep >= 0 and finish[mem_dep] > start:
-                start = finish[mem_dep]
-            done = finish[i] = start + cost[lat_class]
-            if done > longest:
-                longest = done
-        return longest
+                if finish_a[dep] > start_a:
+                    start_a = finish_a[dep]
+                if finish_b[dep] > start_b:
+                    start_b = finish_b[dep]
+            if addr_src >= 0:
+                if finish_a[addr_src] > start_a:
+                    start_a = finish_a[addr_src]
+                if finish_b[addr_src] > start_b:
+                    start_b = finish_b[addr_src]
+            if mem_dep >= 0:
+                if finish_a[mem_dep] > start_a:
+                    start_a = finish_a[mem_dep]
+                if finish_b[mem_dep] > start_b:
+                    start_b = finish_b[mem_dep]
+            done = finish_a[i] = start_a + cost_a[lat_class]
+            if done > longest_a:
+                longest_a = done
+            done = finish_b[i] = start_b + cost_b[lat_class]
+            if done > longest_b:
+                longest_b = done
+        return longest_a, longest_b
 
     def serial_time(
         self,

@@ -64,7 +64,7 @@ def analyze_decoupling(
 
     cols = program.columns
     op, all_srcs = cols.op, cols.srcs
-    au_mask, _ = address_slice.masks(len(op))
+    au_mask, self_mask = address_slice.masks(len(op))
     # Loads and the address half of stores run on the AU; the data half
     # of a store is charged to the DU.
     au = len(op) - op.count(OP_INT) - op.count(OP_FP)
@@ -88,6 +88,6 @@ def analyze_decoupling(
         total=len(program),
         au_instructions=au,
         du_instructions=len(program) - au,
-        self_loads=len(address_slice.self_loads),
+        self_loads=self_mask.count(1),
         lod_events=len(lod_sources),
     )

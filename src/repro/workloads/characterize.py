@@ -191,8 +191,9 @@ def characterize(program: Program) -> WorkloadProfile:
 
     report = analyze_decoupling(program)
     chain = _load_chain_depth(program)
-    critical = program.critical_path(0)
-    critical_md = program.critical_path(DEFAULT_MEMORY_DIFFERENTIAL)
+    critical, critical_md = program._critical_paths(
+        0, DEFAULT_MEMORY_DIFFERENTIAL
+    )
     issue_floor = stats.total / _ISSUE_WIDTH
     bound_0 = max(float(critical), issue_floor)
     bound_md = max(float(critical_md), issue_floor)

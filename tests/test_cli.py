@@ -178,6 +178,8 @@ class TestReportCommands:
         printed = capsys.readouterr().out
         assert "artefacts" in printed and str(out) in printed
         assert "results in" in printed
+        assert "points: 0 from the store, " in printed
+        assert ", 0 simulated" not in printed
         assert (out / "index.md").exists()
         assert (out / "table1.md").exists()
         assert (out / "manifest.json").exists()
@@ -189,6 +191,19 @@ class TestReportCommands:
         ]) == 0
         listed = capsys.readouterr().out
         assert "flo52q" in listed and "stored results" in listed
+
+    def test_warm_report_simulates_nothing(self, capsys, tmp_path):
+        store = tmp_path / "results.sqlite"
+        argv = ["report", "--scale", "tiny", "--store", str(store),
+                "--corpus-size", "2"]
+        assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+        cold = capsys.readouterr().out
+        assert "points: 0 from the store, " in cold
+        assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+        warm = capsys.readouterr().out
+        served = int(warm.split("points: ")[1].split(" from the store")[0])
+        assert served > 0
+        assert f"points: {served} from the store, 0 simulated" in warm
 
     def test_report_scale_flag_after_subcommand(self, capsys, tmp_path):
         out = tmp_path / "site"

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BuilderError, KernelBuilder, OpClass, Opcode, Value
+from repro import (
+    BuilderError, Instruction, KernelBuilder, OpClass, Opcode, Value,
+)
 
 
 class TestArrays:
@@ -56,6 +58,57 @@ class TestEmission:
         builder = KernelBuilder("t")
         with pytest.raises(BuilderError):
             builder.fadd(3)  # type: ignore[arg-type]
+
+    def test_rejects_foreign_value(self):
+        other = KernelBuilder("other")
+        foreign = [other.iadd() for _ in range(4)][-1]
+        builder = KernelBuilder("t")
+        builder.iadd()
+        with pytest.raises(BuilderError, match="does not exist yet"):
+            builder.fadd(foreign)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Value(7), 0, "v0", Instruction(index=0, opcode=Opcode.IADD)],
+        ids=["future", "int", "str", "instruction"],
+    )
+    def test_every_emission_path_checks_operands(self, bad):
+        """Each public path rejects an unusable operand, in whichever
+        operand slot it takes one."""
+        builder = KernelBuilder("t")
+        a = builder.array("a", 4)
+        ok = builder.iadd()
+        addr = builder.address(a, 0)
+        paths = [
+            lambda: builder.emit(Opcode.FADD, srcs=(ok, bad)),
+            lambda: builder.emit(Opcode.LOAD, addr_src=bad, addr=a.base),
+            lambda: builder.fma(ok, ok, bad),
+            lambda: builder.cvt_f2i(bad),
+            lambda: builder.fneg(bad),
+            lambda: builder._arith(Opcode.IOR, (bad,), ""),
+            lambda: builder.address(a, 1, bad),
+            lambda: builder.load(a, 1, bad),
+            lambda: builder.store(a, 1, bad),
+            lambda: builder.store(a, 1, ok, bad),
+            lambda: builder.store_at(addr, bad),
+            lambda: builder.induction(bad),
+        ]
+        for path in paths:
+            with pytest.raises(BuilderError):
+                path()
+        builder.build()
+
+    def test_address_bounds_checked_on_every_path(self):
+        builder = KernelBuilder("t")
+        a = builder.array("a", 4)
+        for path in (
+            lambda: builder.address(a, 4),
+            lambda: builder.load(a, -1),
+            lambda: builder.store(a, 4, None),
+        ):
+            with pytest.raises(BuilderError, match="out of bounds"):
+                path()
+        assert len(builder) == 0
 
     def test_arith_rejects_memory_opcode(self):
         builder = KernelBuilder("t")

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro import IRValidationError, Instruction, OpClass, Opcode, Program, Value
+from repro import (
+    IRValidationError, Instruction, KernelBuilder, OpClass, Opcode, Program,
+    Value,
+)
 from repro.config import LatencyModel
 from repro.ir import OPCODE_CLASS, opcode_latency
 
@@ -45,6 +51,35 @@ class TestValue:
     def test_equality(self):
         assert Value(2) == Value(2)
         assert Value(2) != Value(3)
+        assert Value(2) != 2
+
+    def test_hashing(self):
+        assert hash(Value(4)) == hash(Value(4))
+        assert {Value(4): "x"}[Value(4)] == "x"
+        assert len({Value(1), Value(1), Value(2)}) == 2
+
+    def test_immutable(self):
+        value = Value(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.index = 4  # type: ignore[misc]
+        assert value.index == 3
+
+    def test_repr(self):
+        assert repr(Value(3)) == "Value(index=3)"
+
+    def test_pickle_round_trip(self):
+        value = Value(9)
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_emitted_values_keep_the_contract(self):
+        builder = KernelBuilder("t")
+        builder.iadd()
+        emitted = builder.iadd(Value(0))
+        assert emitted == Value(1) and hash(emitted) == hash(Value(1))
+        assert repr(emitted) == "Value(index=1)"
+        assert pickle.loads(pickle.dumps(emitted)) == emitted
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            emitted.index = 0  # type: ignore[misc]
 
 
 class TestInstruction:
@@ -101,6 +136,14 @@ class TestProgramValidation:
     def test_rejects_memory_without_address(self):
         program = _make([Instruction(index=0, opcode=Opcode.LOAD)])
         with pytest.raises(IRValidationError, match="no address"):
+            program.validate()
+
+    @pytest.mark.parametrize("opcode", [Opcode.LOAD, Opcode.STORE])
+    @pytest.mark.parametrize("address", [-5, -7, -2])
+    def test_rejects_negative_address(self, opcode, address):
+        # Below the -1 sentinel an address would digest as "no address".
+        program = _make([Instruction(index=0, opcode=opcode, addr=address)])
+        with pytest.raises(IRValidationError, match="negative address"):
             program.validate()
 
     def test_rejects_address_on_arithmetic(self):
@@ -184,3 +227,20 @@ class TestTimingBounds:
         for program in (daxpy, feedback):
             for md in (0, 10, 60):
                 assert program.critical_path(md) <= program.serial_time(md)
+
+
+class TestCriticalPaths:
+    """The fused two-differential walk behind ``critical_path`` (its
+    oracle tests are in ``test_ir_oracles.py``)."""
+
+    def test_fused_walk_hand_computed(self):
+        program = _make([
+            Instruction(index=0, opcode=Opcode.LOAD, addr=0),
+            Instruction(index=1, opcode=Opcode.FADD, srcs=(0,)),
+        ])
+        assert program._critical_paths(0, 60) == (1 + 3, 61 + 3)
+
+    def test_fused_walk_rejects_negative_differential(self, daxpy):
+        for pair in ((-1, 0), (0, -1)):
+            with pytest.raises(IRValidationError):
+                daxpy._critical_paths(*pair)
