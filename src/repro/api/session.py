@@ -161,6 +161,7 @@ class Session:
         # (cache hits keep their original record and are not re-counted).
         self._telemetry = {
             "runs": 0,
+            "reused_passes": 0,
             "counters": zero_counters(),
             "strategies": {},
         }
@@ -492,6 +493,7 @@ class Session:
             return
         agg = self._telemetry
         agg["runs"] += 1
+        agg["reused_passes"] += telemetry.reused_passes
         add_counters(agg["counters"], telemetry.counters)
         strategies = agg["strategies"]
         strategies[telemetry.strategy] = (
@@ -502,11 +504,13 @@ class Session:
         """Aggregated telemetry of every fresh simulation this session.
 
         Returns the sums of the fresh results' telemetry counters
-        (whichever engines and however many worker processes ran), a
-        strategy histogram, and a copy of the cache/timing ``stats``.
+        (whichever engines and however many worker processes ran) and
+        reused engine passes, a strategy histogram, and a copy of the
+        cache/timing ``stats``.
         """
         return {
             "runs": self._telemetry["runs"],
+            "reused_passes": self._telemetry["reused_passes"],
             "counters": dict(self._telemetry["counters"]),
             "strategies": dict(self._telemetry["strategies"]),
             "stats": dict(self.stats),

@@ -48,8 +48,12 @@ and the requested probes pick the strategy:
 per-run cycle loops. The choice depends only on the inputs — memory
 model, probes, latencies — and whichever route runs, the schedule is
 bit-exact. Each result's :class:`~repro.obs.telemetry.RunTelemetry`
-records the strategy taken and the run's accelerator counters;
-:func:`simulate` reads and writes no process state. Both loops are
+records the strategy taken and the run's accelerator counters.
+:func:`simulate` reads and writes no process state; its only state
+is one transient per-program memo, never pickled: each lowered
+program keeps its last uniform-table pass (:func:`_table_pass`),
+which the uniform route and the speculative fixed point's first guess
+share, and a repeat is rebuilt from it. Both loops are
 event-driven — idle cycles are skipped — and cycle-exact: whole
 results (cycles, unit statistics, issue times, probes) are identical
 to the naive cycle-by-cycle oracle (:mod:`repro.machines.reference`),
@@ -58,6 +62,7 @@ a property the test-suite checks kernel by kernel and model by model.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from time import perf_counter
@@ -186,6 +191,7 @@ def simulate(
         memory_stats=dict(memory.stats()),
         wall_seconds=perf_counter() - started,
         sim_cycles=result.cycles,
+        reused_passes=collector.reused_passes,
     )
     return replace(result, telemetry=telemetry)
 
@@ -216,12 +222,20 @@ def _route(
         uniform = 0  # no accesses: any model degenerates to uniform
     if uniform is not None:
         # One constant: precomputed table, steady-state skip armed.
-        addlat = low.addlat_for(latencies.mem_base + uniform)
-        return _chosen(collector, "uniform-table", _simulate_fast(
-            low, program, unit_configs, memory, addlat, latencies,
-            collect_issue_times, max_cycles,
-            steady_ok=True, chunked=False, collector=collector,
-        )[0])
+        mem_latency = latencies.mem_base + uniform
+        if collect_issue_times or max_cycles is not None:
+            result = _simulate_fast(
+                low, program, unit_configs, memory,
+                low.addlat_for(mem_latency), latencies,
+                collect_issue_times, max_cycles,
+                steady_ok=True, chunked=False, collector=collector,
+            )[0]
+        else:
+            result = _table_pass(
+                low, program, unit_configs, memory, mem_latency, latencies,
+                collector,
+            )[0]
+        return _chosen(collector, "uniform-table", result)
     if (
         memory.speculation_friendly()
         and max_cycles is None
@@ -294,16 +308,28 @@ def _simulate_speculative(
     prev_access: list[int] | None = None
     # Seed with the model's dominant answer so the first access
     # schedule lands near the real one (one refinement to converge).
-    table = low.addlat_for(mem_base + memory.typical_extra_latency())
+    # That guess is a uniform table, so the first run is the uniform
+    # route's pass at that latency and shares its memo.
+    seed = mem_base + memory.typical_extra_latency()
+    table = low.addlat_for(seed)
     fill = None if collect_issue_times else memory_gids
-    for _ in range(_SPEC_MAX_RUNS):
-        result, issue = _simulate_fast(
-            low, program, unit_configs, memory, table, latencies,
-            collect_issue_times, None, steady_ok=True, chunked=False,
-            fill_gids=fill, collector=collector,
-        )
+    for run in range(_SPEC_MAX_RUNS):
+        if run or collect_issue_times:
+            result, issue = _simulate_fast(
+                low, program, unit_configs, memory, table, latencies,
+                collect_issue_times, None, steady_ok=True, chunked=False,
+                fill_gids=fill, collector=collector,
+            )
+            mem_issue = map(issue.__getitem__, memory_gids)
+        else:
+            result, mem_issue = _table_pass(
+                low, program, unit_configs, memory, seed, latencies,
+                collector,
+            )
         # The access stream, encoded issue-order first (cycle, gid).
-        access = [issue[gid] * total + gid for gid in memory_gids]
+        access = [
+            cycle * total + gid for cycle, gid in zip(mem_issue, memory_gids)
+        ]
         access.sort()
         if access == prev_access:
             # Same schedule as the run the table was replayed from:
@@ -352,6 +378,90 @@ def _replay(
         ))
         i = j
     return extras
+
+
+@dataclass(frozen=True)
+class _PassMemo:
+    """One table-driven pass, kept on its program for an exact rerun.
+
+    ``key`` is per-unit ``(window, width)`` in ``low.units`` order plus
+    the table's ``mem_latency``: everything a uniform-table pass reads
+    besides the program. ``unit_rows`` holds each unit's
+    ``(instructions, last_issue, issue_cycles)``, ``mem_issue`` the
+    issue cycle of each ``low.memory_gids`` entry, and ``skips`` /
+    ``skipped`` the pass's steady-skip counter increments.
+    """
+
+    key: tuple
+    cycles: int
+    unit_rows: tuple[tuple[int, int, int], ...]
+    mem_issue: array
+    skips: int
+    skipped: int
+
+
+def _table_pass(
+    low: LoweredProgram,
+    program: MachineProgram,
+    unit_configs: dict[Unit, UnitConfig],
+    memory: MemorySystem,
+    mem_latency: int,
+    latencies: LatencyModel,
+    collector: TelemetryCollector,
+) -> tuple[SimulationResult, array]:
+    """The uniform-table pass at ``mem_latency``, run once per program.
+
+    Returns the result and the issue cycles of ``low.memory_gids``
+    (aligned with it). A table-driven pass never queries the memory
+    model, so its schedule depends only on the program, the unit
+    configurations and the table; the uniform route and the
+    speculative fixed point's first guess run exactly this pass. The
+    program keeps the last one (``LoweredProgram._pass_memo``, never
+    pickled), and a repeat is rebuilt from it: the counters the pass
+    bumped are bumped again, and name and ``meta`` come from the
+    current program and memory. Passes that collect issue times, set
+    ``max_cycles``, probe, run chunked or use a refined table never
+    come here.
+    """
+    units = low.units
+    key = (
+        tuple((unit_configs[u].window, unit_configs[u].width) for u in units),
+        mem_latency,
+    )
+    counters = collector.counters
+    memo = low._pass_memo
+    if memo is not None and memo.key == key:
+        counters["steady_skips"] += memo.skips
+        counters["skipped_instructions"] += memo.skipped
+        collector.reused_passes += 1
+        unit_stats = {
+            unit: UnitStats(unit, *row)
+            for unit, row in zip(units, memo.unit_rows)
+        }
+        return _result(
+            low, program, memory, memo.cycles, unit_stats, None, 0, 0.0,
+            None,
+        ), memo.mem_issue
+    skips = counters["steady_skips"]
+    skipped = counters["skipped_instructions"]
+    result, issue = _simulate_fast(
+        low, program, unit_configs, memory, low.addlat_for(mem_latency),
+        latencies, False, None, steady_ok=True, chunked=False,
+        fill_gids=low.memory_gids, collector=collector,
+    )
+    mem_issue = array("q", map(issue.__getitem__, low.memory_gids))
+    low._pass_memo = _PassMemo(
+        key=key,
+        cycles=result.cycles,
+        unit_rows=tuple(
+            (stats.instructions, stats.last_issue, stats.issue_cycles)
+            for stats in result.unit_stats.values()
+        ),
+        mem_issue=mem_issue,
+        skips=counters["steady_skips"] - skips,
+        skipped=counters["skipped_instructions"] - skipped,
+    )
+    return result, mem_issue
 
 
 def _result(

@@ -191,12 +191,16 @@ class LoweredProgram:
         "_addlat_cache",
         "_steady",
         "_np_cache",
+        "_pass_memo",
     )
 
     def __init__(self) -> None:
         self._addlat_cache: dict[int, list[int]] = {}
         self._steady = _UNSET
         self._np_cache = None  # NumPy views for the batch engine
+        # The engine's last uniform-table pass over this program
+        # (``repro.machines.engine._table_pass``); never pickled.
+        self._pass_memo = None
 
     def __getstate__(self):
         """Pickle the flat arrays; drop caches, keep a computed steady.
@@ -365,7 +369,7 @@ class LoweredProgram:
 #: The pickled slots: every column, without the per-process caches.
 _STATE_SLOTS = tuple(
     slot for slot in LoweredProgram.__slots__
-    if slot not in ("_addlat_cache", "_steady", "_np_cache")
+    if slot not in ("_addlat_cache", "_steady", "_np_cache", "_pass_memo")
 )
 
 

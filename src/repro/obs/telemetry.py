@@ -48,6 +48,11 @@ class RunTelemetry:
     of which process ran each point.
     ``cache_tier`` records where *this* copy of the result came from:
     ``fresh`` (simulated now), ``memory``, ``disk`` or ``store``.
+    ``reused_passes`` counts the table-driven passes this run took from
+    its compiled program's pass memo instead of re-running them (the
+    engine's ``_table_pass``); like ``wall_seconds`` it says how the
+    run was computed, not what it computed, so the deterministic views
+    leave it out.
     Excluded from result equality and cache keys: two results are the
     same schedule even when one was a cache hit.
     """
@@ -58,11 +63,13 @@ class RunTelemetry:
     wall_seconds: float = 0.0
     sim_cycles: int = 0
     cache_tier: str = "fresh"
+    reused_passes: int = 0
 
     def row_view(self) -> dict[str, object]:
         """Deterministic subset for service rows: strategy + nonzero
-        counters. Excludes wall-clock and cache tier so identical
-        simulations serialize identically wherever they ran."""
+        counters. Excludes wall-clock, reused passes and cache tier so
+        identical simulations serialize identically wherever they ran
+        and whatever ran before them."""
         return {
             "strategy": self.strategy,
             "counters": {k: v for k, v in self.counters.items() if v},
@@ -80,11 +87,12 @@ class TelemetryCollector:
     increment, private to the run.
     """
 
-    __slots__ = ("strategy", "counters")
+    __slots__ = ("strategy", "counters", "reused_passes")
 
     def __init__(self) -> None:
         self.strategy = "none"
         self.counters = zero_counters()
+        self.reused_passes = 0
 
     def choose(self, strategy: str) -> None:
         self.strategy = strategy

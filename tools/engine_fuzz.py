@@ -3,14 +3,20 @@
 Crosses a corpus of generated kernels (``gen:<family>:<seed>`` names)
 plus two paper kernels with both machines (DM, SWSM) and every memory
 model kind in the hierarchy scenario space, then runs each case
-through five columns — shipped ``simulate`` routing (``shipped``), the
+through six columns — shipped ``simulate`` routing (``shipped``), the
 event-heap scheduler driven directly (``events``), the naive
 cycle-by-cycle oracle (``naive``, :mod:`repro.machines.reference`),
 the batched sweep engine (``repro.machines.batch``, run as a
 two-lane batch at two memory differentials and compared lane by
-lane), and the probe route (``probes``: shipped ``simulate`` with the
+lane), the probe route (``probes``: shipped ``simulate`` with the
 buffer probe on, plus the ESW probe on the DM, against the oracle
-with the same probes) — and diffs the results field by field. Any divergence is a bug
+with the same probes), and the warm route (``warm``: shipped
+``simulate`` without issue times, run twice on the compiled program
+every earlier column ran on, so its uniform-table passes come from the
+program's pass memo) — and diffs the results field by field.
+``shipped`` collects issue times and so never reaches the memo; the
+``warm`` runs must match it in every field but issue times, telemetry
+strategy and counters included. Any divergence is a bug
 in one of the engines; the tool prints the first mismatching field per
 case and exits non-zero. The oracle steps every cycle, so keep the
 scale small.
@@ -64,19 +70,37 @@ def _shipped(compiled, configs, memory):
     return simulate(compiled, configs, memory, collect_issue_times=True)
 
 
-def diff_fields(reference, candidate) -> list[str]:
+def diff_fields(reference, candidate, fields=COMPARED_FIELDS) -> list[str]:
     """Names of the result fields on which two engines disagree."""
     mismatches = []
-    for field_name in COMPARED_FIELDS:
+    for field_name in fields:
         if getattr(reference, field_name) != getattr(candidate, field_name):
             mismatches.append(field_name)
     return mismatches
 
 
+#: What the ``warm`` column must reproduce of the ``shipped`` one:
+#: every field but issue times, plus the route and its counters.
+WARM_FIELDS = tuple(f for f in COMPARED_FIELDS if f != "issue_times")
+WARM_TELEMETRY = ("strategy", "counters")
+
+
+def diff_warm(shipped, warm) -> list[str]:
+    """Fields on which a run without issue times leaves ``shipped``."""
+    return diff_fields(shipped, warm, WARM_FIELDS) + [
+        f"telemetry.{name}" for name in WARM_TELEMETRY
+        if getattr(shipped.telemetry, name) != getattr(warm.telemetry, name)
+    ]
+
+
 def run_case(program_name: str, scale: int, md: int,
-             verbose: bool) -> list[str]:
-    """All machines x memory kinds x engines for one program."""
+             verbose: bool) -> tuple[list[str], int]:
+    """All machines x memory kinds x engines for one program.
+
+    Returns the failures and the passes the warm column reused.
+    """
     failures = []
+    reused = 0
     program = build_kernel(program_name, scale)
     for machine_name, compile_fn in MACHINES:
         compiled = compile_fn(program)
@@ -142,9 +166,20 @@ def run_case(program_name: str, scale: int, md: int,
                     f"{case}: probed shipped vs naive differ on "
                     f"{', '.join(fields)}"
                 )
+            # Warm column: the shipped route without issue times, twice
+            # on this compiled program (the memo's reuse path).
+            for attempt in (1, 2):
+                warm = simulate(compiled, configs, spec.build(md))
+                reused += warm.telemetry.reused_passes
+                fields = diff_warm(shipped, warm)
+                if fields:
+                    failures.append(
+                        f"{case}: warm run {attempt} vs shipped differ on "
+                        f"{', '.join(fields)}"
+                    )
             if verbose and not failures:
                 print(f"  ok {case}: {shipped.cycles} cycles")
-    return failures
+    return failures, reused
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -168,8 +203,15 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     failures: list[str] = []
+    reused = 0
     for name in corpus:
-        failures.extend(run_case(name, preset.scale, args.md, args.verbose))
+        case_failures, case_reused = run_case(
+            name, preset.scale, args.md, args.verbose
+        )
+        failures.extend(case_failures)
+        reused += case_reused
+    if not reused:
+        failures.append("warm column: no run reused a memoised pass")
 
     cases = len(corpus) * len(MACHINES) * len(HIERARCHY_MEMORY_VARIANTS)
     if failures:
@@ -178,8 +220,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}")
         return 1
     print(
-        f"engine fuzz: OK — {cases} cases (x5 columns) agree on every "
-        f"field (scale={preset.name}, md={args.md})"
+        f"engine fuzz: OK — {cases} cases (x6 columns) agree on every "
+        f"field (scale={preset.name}, md={args.md}; warm runs reused "
+        f"{reused} passes)"
     )
     return 0
 
