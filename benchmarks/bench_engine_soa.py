@@ -7,7 +7,7 @@ model (bypass buffer, cache hierarchy, banked memory, stream
 prefetcher) — and records every row in ``BENCH_engine.json``. Each
 tier first asserts cycle parity of the shipped route against the
 probe route's loop run with probes off (``_simulate_fast`` with its
-probe branch, chunked queries, no steady-state skip and no
+stateful branch, chunked queries, no steady-state skip and no
 speculation), so those accelerators are cross-checked at every tier,
 ``paper`` and ``huge`` included. The stateful tiers track how
 the accelerated routes perform: bypass-style models ride the
@@ -118,8 +118,8 @@ def _probing(compiled, configs, memory):
     low = compiled.lowered()
     return _simulate_fast(
         low, compiled, configs, memory, low.base_addlat, DEFAULT_LATENCIES,
-        False, None, steady_ok=False, chunked=True,
-        collector=TelemetryCollector(), probes=(False, False),
+        False, steady_ok=False, chunked=True,
+        collector=TelemetryCollector(),
     )[0]
 
 
@@ -229,7 +229,7 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
         def run_events(memory):
             return _simulate_events(
                 low, compiled, configs, memory, DEFAULT_LATENCIES,
-                False, None, TelemetryCollector(),
+                False, TelemetryCollector(),
             )
 
         event_result = run_events(make_memory())
@@ -298,7 +298,7 @@ def measure_search(scale_name: str, rounds: int = 3) -> list[dict]:
         collector = TelemetryCollector()
         result = _simulate_fast(
             low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
-            False, None, steady_ok=armed, chunked=False,
+            False, steady_ok=armed, chunked=False,
             collector=collector,
         )[0]
         return result, collector

@@ -636,40 +636,12 @@ class Session:
             points=points,
             results=results,
             name=name,
-            telemetry=self._sweep_telemetry(before, len(points), elapsed),
+            telemetry={
+                "points": len(points),
+                "wall_seconds": elapsed,
+                **telemetry_delta(before, self.telemetry()),
+            },
         )
-
-    def _sweep_telemetry(
-        self, before: dict, points: int, elapsed: float
-    ) -> dict:
-        """Rollup of what one sweep did, as deltas against ``before``."""
-        after = self.telemetry()
-        hits = {
-            key: after["stats"][key] - before["stats"][key]
-            for key in (
-                "evaluated", "memory_hits", "disk_hits", "store_hits",
-                "batch_groups", "batch_points",
-            )
-        }
-        counters = {
-            key: value - before["counters"].get(key, 0)
-            for key, value in after["counters"].items()
-        }
-        strategies = {
-            key: count
-            for key, count in (
-                (key, value - before["strategies"].get(key, 0))
-                for key, value in after["strategies"].items()
-            )
-            if count
-        }
-        return {
-            "points": points,
-            "wall_seconds": elapsed,
-            **hits,
-            "counters": counters,
-            "strategies": strategies,
-        }
 
     def _pending_points(
         self, points: tuple[Point, ...]
@@ -935,6 +907,34 @@ class Session:
         perfect = self.dm_cycles(name, window, 0)
         actual = self.dm_cycles(name, window, md)
         return perfect / actual
+
+
+def telemetry_delta(before: dict, after: dict) -> dict:
+    """What a session did between two :meth:`Session.telemetry` snapshots.
+
+    The cache and batch stats and every engine counter as deltas, and
+    the strategies whose run count moved.
+    """
+    hits = {
+        key: after["stats"][key] - before["stats"][key]
+        for key in (
+            "evaluated", "memory_hits", "disk_hits", "store_hits",
+            "batch_groups", "batch_points",
+        )
+    }
+    counters = {
+        key: value - before["counters"].get(key, 0)
+        for key, value in after["counters"].items()
+    }
+    strategies = {
+        key: count
+        for key, count in (
+            (key, value - before["strategies"].get(key, 0))
+            for key, value in after["strategies"].items()
+        )
+        if count
+    }
+    return {**hits, "counters": counters, "strategies": strategies}
 
 
 def _open_store(target):

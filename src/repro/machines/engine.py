@@ -40,9 +40,9 @@ and the requested probes pick the strategy:
   deterministic FIFO tie-breaking at equal timestamps (docs/timing.md,
   "Event scheduling");
 * runs that ask for the buffer or ESW probes (or carry zero-latency
-  operations) take the fast loop's **probe branch**: chunked queries
-  for every model, plus the residency intervals, the ESW samples and
-  the zero-latency wakeup floor.
+  operations) take the **probe route**: the chunked route's issue
+  branch for every model, with the residency intervals, the ESW
+  samples and the zero-latency wakeup floor switched on.
 
 :func:`_simulate_fast` and :func:`_simulate_events` are the only two
 per-run cycle loops. The choice depends only on the inputs — memory
@@ -151,7 +151,6 @@ def simulate(
     probe_buffers: bool = False,
     probe_esw: bool = False,
     collect_issue_times: bool = False,
-    max_cycles: int | None = None,
 ) -> SimulationResult:
     """Run a machine program to completion and return timing results.
 
@@ -168,8 +167,6 @@ def simulate(
             for two-unit programs with AU and DU streams).
         collect_issue_times: return the issue time of every gid (for
             tests and debugging; costs memory).
-        max_cycles: abort with :class:`SimulationError` if the clock
-            passes this bound (guards against configuration mistakes).
     """
     if memory is None:
         memory = FixedLatencyMemory(0)
@@ -183,7 +180,7 @@ def simulate(
     started = perf_counter()
     result = _route(
         program, unit_configs, memory, latencies, probe_buffers,
-        probe_esw, collect_issue_times, max_cycles, collector,
+        probe_esw, collect_issue_times, collector,
     )
     telemetry = RunTelemetry(
         strategy=collector.strategy,
@@ -204,17 +201,16 @@ def _route(
     probe_buffers: bool,
     probe_esw: bool,
     collect_issue_times: bool,
-    max_cycles: int | None,
     collector: TelemetryCollector,
 ) -> SimulationResult:
     """Pick a strategy and run it; records the choice on ``collector``."""
     low = program.lowered()
     if probe_buffers or probe_esw or low.min_latency < 1:
-        # Probes (or zero-latency operations): the fast loop's probe
+        # Probes (or zero-latency operations): the fast loop's stateful
         # branch, one chunked issue-order query per unit per cycle.
         return _chosen(collector, "probing", _simulate_fast(
             low, program, unit_configs, memory, low.base_addlat, latencies,
-            collect_issue_times, max_cycles, steady_ok=False, chunked=True,
+            collect_issue_times, steady_ok=False, chunked=True,
             collector=collector, probes=(probe_buffers, probe_esw),
         )[0])
     uniform = memory.uniform_extra_latency()
@@ -223,12 +219,12 @@ def _route(
     if uniform is not None:
         # One constant: precomputed table, steady-state skip armed.
         mem_latency = latencies.mem_base + uniform
-        if collect_issue_times or max_cycles is not None:
+        if collect_issue_times:
             result = _simulate_fast(
                 low, program, unit_configs, memory,
                 low.addlat_for(mem_latency), latencies,
-                collect_issue_times, max_cycles,
-                steady_ok=True, chunked=False, collector=collector,
+                collect_issue_times=True, steady_ok=True, chunked=False,
+                collector=collector,
             )[0]
         else:
             result = _table_pass(
@@ -238,7 +234,6 @@ def _route(
         return _chosen(collector, "uniform-table", result)
     if (
         memory.speculation_friendly()
-        and max_cycles is None
         and low.total >= _SKIP_MIN_TOTAL
         and low.single_memory_unit()
         and low.steady() is not None
@@ -249,24 +244,23 @@ def _route(
         )
         if result is not None:
             return _chosen(collector, "speculative", result)
-    # Every event the heap scheduler pushes must be strictly in the
-    # future; ``mem_base >= 1`` (with ``min_latency >= 1`` above)
-    # guarantees it for memory arrivals too.
-    if latencies.mem_base >= 1 and memory.time_sensitive():
+    if memory.time_sensitive():
         # Time-sensitive stateful models (bank queuing, in-flight
         # prefetch arrivals) burn idle cycles between long-latency
         # arrivals in the cycle loop; the event heap jumps the clock
-        # straight to the next arrival instead.
+        # straight to the next arrival instead. Every event it pushes
+        # is strictly in the future: ``min_latency >= 1`` here, and
+        # :class:`LatencyModel` keeps ``mem_base >= 1``.
         return _chosen(collector, "events-chunked", _simulate_events(
             low, program, unit_configs, memory, latencies,
-            collect_issue_times, max_cycles, collector=collector,
+            collect_issue_times, collector=collector,
         ))
-    # Stateful-ordered: same fast loop, one chunked issue-order query
-    # per unit per cycle.
+    # Stateful-ordered: the probe route's issue branch with probes off,
+    # one chunked issue-order query per unit per cycle.
     return _chosen(collector, "chunked", _simulate_fast(
         low, program, unit_configs, memory, low.base_addlat, latencies,
-        collect_issue_times, max_cycles,
-        steady_ok=False, chunked=True, collector=collector,
+        collect_issue_times, steady_ok=False, chunked=True,
+        collector=collector,
     )[0])
 
 
@@ -312,13 +306,12 @@ def _simulate_speculative(
     # route's pass at that latency and shares its memo.
     seed = mem_base + memory.typical_extra_latency()
     table = low.addlat_for(seed)
-    fill = None if collect_issue_times else memory_gids
     for run in range(_SPEC_MAX_RUNS):
         if run or collect_issue_times:
             result, issue = _simulate_fast(
                 low, program, unit_configs, memory, table, latencies,
-                collect_issue_times, None, steady_ok=True, chunked=False,
-                fill_gids=fill, collector=collector,
+                collect_issue_times, steady_ok=True, chunked=False,
+                collector=collector,
             )
             mem_issue = map(issue.__getitem__, memory_gids)
         else:
@@ -419,9 +412,8 @@ def _table_pass(
     program keeps the last one (``LoweredProgram._pass_memo``, never
     pickled), and a repeat is rebuilt from it: the counters the pass
     bumped are bumped again, and name and ``meta`` come from the
-    current program and memory. Passes that collect issue times, set
-    ``max_cycles``, probe, run chunked or use a refined table never
-    come here.
+    current program and memory. Passes that collect issue times,
+    probe, run chunked or use a refined table never come here.
     """
     units = low.units
     key = (
@@ -446,8 +438,8 @@ def _table_pass(
     skipped = counters["skipped_instructions"]
     result, issue = _simulate_fast(
         low, program, unit_configs, memory, low.addlat_for(mem_latency),
-        latencies, False, None, steady_ok=True, chunked=False,
-        fill_gids=low.memory_gids, collector=collector,
+        latencies, False, steady_ok=True, chunked=False,
+        collector=collector,
     )
     mem_issue = array("q", map(issue.__getitem__, low.memory_gids))
     low._pass_memo = _PassMemo(
@@ -496,37 +488,37 @@ def _simulate_fast(
     addlat: list[int],
     latencies: LatencyModel,
     collect_issue_times: bool,
-    max_cycles: int | None,
     steady_ok: bool,
     chunked: bool,
     collector: TelemetryCollector,
-    fill_gids: list[int] | None = None,
-    probes: tuple[bool, bool] | None = None,
+    probes: tuple[bool, bool] = (False, False),
 ) -> tuple[SimulationResult, list[int]]:
     """The cycle loop: every latency baked or chunk-batched.
 
     ``addlat`` folds the availability rule into one add per issue,
     heaps hold plain integers (wakeups encode ``time * total + gid``,
     which orders by time then age), and a matured batch that fits the
-    issue width bypasses the ready heap entirely. With ``chunked``
-    (stateful memory models) the memory accesses of each issue batch
-    are answered by one :meth:`MemorySystem.latencies` call in issue
-    order; ``addlat`` then only covers the non-memory modes.
-    ``steady_ok`` arms the periodic steady-state skip, which stays
-    armed only if ``addlat`` itself proves periodic over the verified
-    region. Returns ``(result, issue_time_list)`` — the raw per-gid
-    issue times feed the speculative fixed point without paying for a
-    dict.
+    issue width bypasses the ready heap entirely. There are two issue
+    branches. The table branch reads every latency from ``addlat``.
+    The stateful branch (``chunked``: the chunked and probe routes)
+    answers the memory accesses of each issue batch with one
+    :meth:`MemorySystem.latencies` call in issue order, so ``addlat``
+    only covers the non-memory modes. ``steady_ok`` arms the periodic
+    steady-state skip, which stays armed only if ``addlat`` itself
+    proves periodic over the verified region. Returns ``(result,
+    issue_time_list)`` — the raw per-gid issue times feed the
+    speculative fixed point without paying for a dict; without
+    ``collect_issue_times``, a skipped range fills in only the memory
+    gids' entries.
 
-    ``probes = (probe_buffers, probe_esw)`` (with ``chunked``) selects
-    the probe route's own issue branch: chunked queries as above, plus
+    ``probes = (probe_buffers, probe_esw)`` (with ``chunked``) turns on
     the buffer residency intervals (each delivering gid's arrival,
-    closed when its paired consumer first issues) and a next-cycle
-    floor for zero-latency results whose consumer's unit is the
-    issuing one or comes before it (docs/timing.md, "Bypass and result
-    availability"); the ESW probe samples once per visited step,
-    weighted by the idle gap to the next. The table and chunked
-    branches take on no per-instruction work for either probe.
+    closed when its paired consumer first issues) and the ESW samples
+    (once per visited step, weighted by the idle gap to the next). The
+    stateful branch also floors a zero-latency result to the next cycle
+    when its consumer's unit is the issuing one or comes before it
+    (docs/timing.md, "Bypass and result availability"); off the probe
+    route ``min_latency >= 1`` and ``mem_base >= 1``, so it never fires.
     """
     total = low.total
     units = low.units
@@ -563,22 +555,21 @@ def _simulate_fast(
     delivers = low.delivers
     esw_au = esw_du = -1
     esw_peak = esw_weighted = esw_cycles = 0
-    if probes is not None:
-        probe_buffers, probe_esw = probes
-        if probe_buffers:
-            if low.pair_missing:
-                gid, kind = low.pair_missing[0]
-                raise SimulationError(
-                    f"{kind} gid={gid} has no paired memory operation"
-                )
-            arrivals = {}
-        if probe_esw and Unit.AU in units and Unit.DU in units:
-            esw_au = units.index(Unit.AU)
-            esw_du = units.index(Unit.DU)
-            orig_index = low._orig
+    probe_buffers, probe_esw = probes
+    if probe_buffers:
+        if low.pair_missing:
+            gid, kind = low.pair_missing[0]
+            raise SimulationError(
+                f"{kind} gid={gid} has no paired memory operation"
+            )
+        arrivals = {}
+    if probe_esw and Unit.AU in units and Unit.DU in units:
+        esw_au = units.index(Unit.AU)
+        esw_du = units.index(Unit.DU)
+        orig_index = low._orig
 
     steady = None
-    if steady_ok and max_cycles is None and total >= _SKIP_MIN_TOTAL:
+    if steady_ok and total >= _SKIP_MIN_TOTAL:
         steady = low.steady()
     if steady is not None:
         # The structural period ignores addresses, so a per-gid table
@@ -675,38 +666,13 @@ def _simulate_fast(
                                 heappush(
                                     wakeups[unit_of[c]], opmax[c] * total + c
                                 )
-                elif probes is None:
+                else:
                     # Stateful memory: the model must see accesses
                     # oldest-first (heap order), so sort batches that
                     # bypassed the ready heap, then answer the memory
-                    # subset with one issue-ordered chunked query.
-                    if len(batch) > 1:
-                        batch.sort()
-                    mem_gids = [g for g in batch if is_mem[g]]
-                    if mem_gids:
-                        extra_iter = iter(chunk_latencies(
-                            [addr_arr[g] for g in mem_gids], t
-                        ))
-                    for gid in batch:
-                        issue_time[gid] = t
-                        if is_mem[gid]:
-                            avail = t + mem_base + next(extra_iter)
-                        else:
-                            avail = t + addlat[gid]
-                        if avail > horizon:
-                            horizon = avail
-                        for c in cons[gid]:
-                            remaining = pending[c] - 1
-                            pending[c] = remaining
-                            if opmax[c] < avail:
-                                opmax[c] = avail
-                            if not remaining and dispatched[c]:
-                                heappush(
-                                    wakeups[unit_of[c]], opmax[c] * total + c
-                                )
-                else:
-                    # Probe route: the chunked branch plus the buffer
-                    # residency intervals and the zero-latency floor.
+                    # subset with one issue-ordered chunked query. The
+                    # probe route adds the buffer residency intervals;
+                    # the zero-latency floor fires only there.
                     if len(batch) > 1:
                         batch.sort()
                     mem_gids = [g for g in batch if is_mem[g]]
@@ -902,10 +868,6 @@ def _simulate_fast(
                 f"no unit can make progress at cycle {t} with "
                 f"{outstanding} instructions outstanding"
             )
-        if max_cycles is not None and next_time > max_cycles:
-            raise SimulationError(
-                f"simulation exceeded max_cycles={max_cycles}"
-            )
         t = int(next_time)
 
     if skip_shift:
@@ -914,14 +876,14 @@ def _simulate_fast(
         # exactly one period's cycles after its one-period-earlier
         # counterpart, so an ascending sweep telescopes through the
         # whole skipped range (the counterpart is always either
-        # simulated or already filled). ``fill_gids`` restricts the
-        # sweep to the gids the caller needs (the speculative fixed
-        # point only reads memory accesses, which telescope among
-        # themselves — structural periodicity keeps g - period a
-        # memory gid whenever g is one).
+        # simulated or already filled). Without collected issue times
+        # the sweep covers only the memory gids, all the callers read
+        # (they telescope among themselves — structural periodicity
+        # keeps g - period a memory gid whenever g is one).
         d_gid = skip_shift
         d_t = skip_dt
-        for g in range(total) if fill_gids is None else fill_gids:
+        fill = range(total) if collect_issue_times else low.memory_gids
+        for g in fill:
             if issue_time[g] < 0:
                 issue_time[g] = issue_time[g - d_gid] + d_t
 
@@ -1015,7 +977,6 @@ def _simulate_events(
     memory: MemorySystem,
     latencies: LatencyModel,
     collect_issue_times: bool,
-    max_cycles: int | None,
     collector: TelemetryCollector,
     trace: list[tuple[int, int, int]] | None = None,
 ) -> SimulationResult:
@@ -1112,10 +1073,6 @@ def _simulate_events(
             t += 1
         else:
             t = events[0] >> _TIME_SHIFT
-        if max_cycles is not None and t > max_cycles:
-            raise SimulationError(
-                f"simulation exceeded max_cycles={max_cycles}"
-            )
         del touched[:]
         boundary = (t + 1) << _TIME_SHIFT
         if trace is None:

@@ -33,11 +33,11 @@ Lowering also computes two engine accelerator inputs:
   skip whole iterations while staying cycle-exact (docs/timing.md,
   "Periodic steady state").
 
-For the event-heap scheduler (docs/timing.md, "Event scheduling")
-lowering additionally records *event metadata*: ``mem_units`` — the
-units that own memory accesses — drives the engine's strategy
-selection (the event heap pays off exactly when a memory-owning unit
-faces long, irregular stateful latencies), and the per-gid
+Lowering also records ``mem_units``, the units that own memory
+accesses. Only :meth:`LoweredProgram.single_memory_unit` reads it, to
+gate the speculative fixed point; the memory model's
+:meth:`~repro.memory.MemorySystem.time_sensitive` alone picks the
+event-heap scheduler (docs/timing.md, "Event scheduling"). The per-gid
 ``unit_index``/``cons`` tables double as the wakeup-routing tables the
 event loop uses to deliver completion and memory-arrival events to the
 right unit.

@@ -45,7 +45,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..api.session import Session
+from ..api.session import Session, telemetry_delta
 from ..api.spec import (
     Point,
     Sweep,
@@ -162,37 +162,6 @@ def result_rows(points, results, scale: int, latencies) -> list[dict]:
             ),
         })
     return rows
-
-
-def _telemetry_delta(before: dict, after: dict) -> dict:
-    """What one job did, as session-telemetry deltas."""
-    counters = {
-        key: value - before["counters"].get(key, 0)
-        for key, value in after["counters"].items()
-        if value - before["counters"].get(key, 0)
-    }
-    strategies = {
-        key: count
-        for key, count in (
-            (key, value - before["strategies"].get(key, 0))
-            for key, value in after["strategies"].items()
-        )
-        if count
-    }
-    hits = {
-        key: after["stats"][key] - before["stats"][key]
-        for key in (
-            "evaluated", "memory_hits", "disk_hits", "store_hits",
-            "batch_groups", "batch_points",
-        )
-        if key in after["stats"]
-    }
-    return {
-        "runs": after["runs"] - before["runs"],
-        "counters": counters,
-        "strategies": strategies,
-        **hits,
-    }
 
 
 def _parse_spec(kind: str, spec: object) -> tuple[object, tuple[Point, ...]]:
@@ -493,7 +462,13 @@ class JobScheduler:
         else:
             outcome = session.run(parsed)
             points, results = outcome.points, outcome.results
-        job.telemetry = _telemetry_delta(before, session.telemetry())
+        after = session.telemetry()
+        delta = telemetry_delta(before, after)
+        # A job reports only the counters it moved.
+        delta["counters"] = {
+            key: value for key, value in delta["counters"].items() if value
+        }
+        job.telemetry = {"runs": after["runs"] - before["runs"], **delta}
         return result_rows(
             points, results, self.config.scale, self.config.latencies
         )

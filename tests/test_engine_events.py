@@ -58,8 +58,8 @@ def run_events(compiled, configs, memory, trace=None):
     time-sensitive models)."""
     return _simulate_events(
         compiled.lowered(), compiled, configs, memory, DEFAULT_LATENCIES,
-        collect_issue_times=True, max_cycles=None,
-        collector=TelemetryCollector(), trace=trace,
+        collect_issue_times=True, collector=TelemetryCollector(),
+        trace=trace,
     )
 
 

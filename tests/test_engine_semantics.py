@@ -190,14 +190,6 @@ class TestFailureModes:
         with pytest.raises(SimulationError, match="configuration"):
             simulate(program, {})
 
-    def test_max_cycles_guard(self):
-        instructions = [
-            op(0, kind=MemKind.PREFETCH_LOAD, addr=8),
-            op(1, kind=MemKind.ACCESS_LOAD, srcs=(0,)),
-        ]
-        with pytest.raises(SimulationError, match="max_cycles"):
-            single(instructions, md=500, max_cycles=50)
-
 
 class TestStats:
     def test_unit_stats(self):

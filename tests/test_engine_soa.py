@@ -3,7 +3,7 @@
 Two independent implementations of the docs/timing.md semantics must
 agree on the whole result, instruction for instruction:
 
-* ``simulate`` — the SoA engine (fast loop with its probe branch,
+* ``simulate`` — the SoA engine (fast loop with its probe route,
   steady-state accelerator, speculative fixed point and event heap);
 * ``simulate_naive`` — the cycle-by-cycle oracle, which shares no
   lowering, batching or event skipping with the engine.
@@ -87,7 +87,7 @@ def run_unskipped(compiled, configs, memory, *, chunked=False):
     collector = TelemetryCollector()
     result, _ = _simulate_fast(
         low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
-        True, None, steady_ok=False, chunked=chunked, collector=collector,
+        True, steady_ok=False, chunked=chunked, collector=collector,
     )
     return result, collector
 
@@ -448,7 +448,7 @@ class TestGeneralLoopParity:
             assert_same_schedule(new, naive)
 
     def test_probes_with_stateful_memory(self):
-        # Probes force the fast loop's probe branch even for stateful
+        # Probes force the fast loop's probe route even for stateful
         # models; the chunked queries must not disturb the intervals.
         compiled = DecoupledMachine.compile(build_kernel("mdg", TINY))
         for label, make_memory in stateful_model_zoo():

@@ -129,8 +129,8 @@ def _event_trace(compiled, memory):
     trace: list[tuple[int, int, int]] = []
     result = _simulate_events(
         low, compiled, configs, memory, DEFAULT_LATENCIES,
-        collect_issue_times=True, max_cycles=None,
-        collector=TelemetryCollector(), trace=trace,
+        collect_issue_times=True, collector=TelemetryCollector(),
+        trace=trace,
     )
     return result, trace
 
@@ -194,7 +194,7 @@ class TestEventHeapProperties:
                 events = _simulate_events(
                     compiled.lowered(), compiled, configs, make_memory(),
                     DEFAULT_LATENCIES, collect_issue_times=True,
-                    max_cycles=None, collector=TelemetryCollector(),
+                    collector=TelemetryCollector(),
                 )
                 shipped = simulate(compiled, configs, make_memory(),
                                    collect_issue_times=True)

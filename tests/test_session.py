@@ -353,13 +353,17 @@ class TestNoSharedState:
     def test_simulate_touches_no_environment(self, monkeypatch, tmp_path):
         # A direct engine call is a function of its inputs alone: on
         # every route (the uniform table, the speculative fixed point,
-        # the event heap, the probe branch) and on both
-        # machines it reads no REPRO_* variable and writes none.
+        # the chunked loop, the event heap, the probe route) and on
+        # both machines it reads, lists and writes no environment
+        # variable at all.
         log = tmp_path / "environ.log"
         program = build_kernel("flo52q", 3_000)
         machines = (
             (DecoupledMachine.compile(program), dm_configs(32)),
             (SuperscalarMachine.compile(program), swsm_configs(32)),
+            # Under 2048 instructions no stateful run is speculated.
+            (DecoupledMachine.compile(build_kernel("flo52q", 1_000)),
+             dm_configs(32)),
         )
         memories = (
             lambda: FixedLatencyMemory(60),
@@ -367,7 +371,9 @@ class TestNoSharedState:
             lambda: MemorySpec(kind="bypass").build(60),
             lambda: MemorySpec(kind="banked").build(60),
         )
-        monkeypatch.setattr(os, "environ", _RecordingEnviron(os.environ, log))
+        monkeypatch.setattr(
+            os, "environ", _RecordingEnviron(os.environ, log, prefix="")
+        )
         routes = set()
         for compiled, configs in machines:
             for make_memory in memories:
@@ -379,7 +385,8 @@ class TestNoSharedState:
                     )
                     routes.add(result.telemetry.strategy)
         assert routes == {
-            "uniform-table", "speculative", "events-chunked", "probing",
+            "uniform-table", "speculative", "chunked", "events-chunked",
+            "probing",
         }
         assert not log.exists(), log.read_text()
 
@@ -395,21 +402,24 @@ class TestNoSharedState:
 
 class _RecordingEnviron(MutableMapping):
     """A process-environment stand-in that logs every write and every
-    ``REPRO_*`` read, one ``pid<TAB>action<TAB>key`` line each, to an
-    append-only file shared with forked children. A child forked while
-    it is installed logs one ``fork`` line on start (see
-    :func:`_log_fork`), which proves the stand-in reached it."""
+    read of a key starting with ``prefix``, one
+    ``pid<TAB>action<TAB>key`` line each, to an append-only file shared
+    with forked children. With an empty ``prefix`` it also logs every
+    listing or copy of the keys (key ``*``). A child forked while it is
+    installed logs one ``fork`` line on start (see :func:`_log_fork`),
+    which proves the stand-in reached it."""
 
-    def __init__(self, initial, log) -> None:
+    def __init__(self, initial, log, prefix: str = "REPRO_") -> None:
         self._data = dict(initial)
         self._log = log
+        self._prefix = prefix
 
     def _record(self, action: str, key: str) -> None:
         with open(self._log, "a") as handle:
             handle.write(f"{os.getpid()}\t{action}\t{key}\n")
 
     def __getitem__(self, key):
-        if key.startswith("REPRO_"):
+        if key.startswith(self._prefix):
             self._record("read", key)
         return self._data[key]
 
@@ -422,12 +432,16 @@ class _RecordingEnviron(MutableMapping):
         del self._data[key]
 
     def __iter__(self):
+        if not self._prefix:
+            self._record("read", "*")
         return iter(self._data)
 
     def __len__(self) -> int:
         return len(self._data)
 
     def copy(self) -> dict:
+        if not self._prefix:
+            self._record("read", "*")
         return dict(self._data)
 
 

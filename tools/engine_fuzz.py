@@ -3,8 +3,11 @@
 Crosses a corpus of generated kernels (``gen:<family>:<seed>`` names)
 plus two paper kernels with both machines (DM, SWSM) and every memory
 model kind in the hierarchy scenario space, then runs each case
-through six columns — shipped ``simulate`` routing (``shipped``), the
-event-heap scheduler driven directly (``events``), the naive
+through seven columns — shipped ``simulate`` routing (``shipped``), the
+event-heap scheduler driven directly (``events``), the fast loop's
+stateful issue branch forced with probes off (``chunked``: the
+chunked route, which the router takes only when a stateful model
+declines both speculation and the event heap), the naive
 cycle-by-cycle oracle (``naive``, :mod:`repro.machines.reference`),
 the batched sweep engine (``repro.machines.batch``, run as a
 two-lane batch at two memory differentials and compared lane by
@@ -44,7 +47,10 @@ from repro.experiments import active_preset  # noqa: E402
 from repro.kernels import build_kernel  # noqa: E402
 from repro.machines import simulate, simulate_naive  # noqa: E402
 from repro.machines.batch import BatchLane, simulate_batch  # noqa: E402
-from repro.machines.engine import _simulate_events  # noqa: E402
+from repro.machines.engine import (  # noqa: E402
+    _simulate_events,
+    _simulate_fast,
+)
 from repro.obs.telemetry import TelemetryCollector  # noqa: E402
 from repro.partition import Unit  # noqa: E402
 from repro.workloads import FAMILIES  # noqa: E402
@@ -114,12 +120,23 @@ def run_case(program_name: str, scale: int, md: int,
         for label, spec in HIERARCHY_MEMORY_VARIANTS:
             case = f"{program_name} x {machine_name} x {label}"
             shipped = _shipped(compiled, configs, spec.build(md))
+            low = compiled.lowered()
             events = _simulate_events(
-                compiled.lowered(), compiled, configs, spec.build(md),
-                DEFAULT_LATENCIES, collect_issue_times=True, max_cycles=None,
+                low, compiled, configs, spec.build(md),
+                DEFAULT_LATENCIES, collect_issue_times=True,
                 collector=TelemetryCollector(),
             )
+            chunked = _simulate_fast(
+                low, compiled, configs, spec.build(md), low.base_addlat,
+                DEFAULT_LATENCIES, True, steady_ok=False, chunked=True,
+                collector=TelemetryCollector(),
+            )[0]
             naive = simulate_naive(compiled, configs, spec.build(md))
+            fields = diff_fields(naive, chunked)
+            if fields:
+                failures.append(
+                    f"{case}: chunked vs naive differ on {', '.join(fields)}"
+                )
             for engine_name, candidate in (
                 ("events", events), ("naive", naive)
             ):
@@ -220,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}")
         return 1
     print(
-        f"engine fuzz: OK — {cases} cases (x6 columns) agree on every "
+        f"engine fuzz: OK — {cases} cases (x7 columns) agree on every "
         f"field (scale={preset.name}, md={args.md}; warm runs reused "
         f"{reused} passes)"
     )
