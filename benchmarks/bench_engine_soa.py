@@ -21,6 +21,13 @@ dm+{banked,prefetch,hierarchy,banked-long} — the time-sensitive /
 long-latency models it was built for — and assert it wins on the
 long-latency ``banked-long`` tier at ``paper`` and ``huge`` scale.
 
+The unlimited-window tier (``measure_unlimited``) times the shipped
+uniform-table route at the paper's unlimited window (as large as the
+compiled program), which the dataflow pass schedules without a cycle
+loop, against the cycle loop it replaced (``_cycle_loop``, skip armed)
+on DM and SWSM, asserts the two schedules equal, and records the
+ratio as ``speedup_vs_loop``.
+
 The search-overhead tier (``measure_search``) times the fast loop on a
 kernel whose periodic steady-state search never matches (track on the
 SWSM at window 64), with the skip armed and disarmed, and records the
@@ -47,7 +54,11 @@ from repro.config import DEFAULT_LATENCIES, UnitConfig
 from repro.experiments.scales import PRESETS
 from repro.kernels import build_kernel
 from repro.machines import simulate
-from repro.machines.engine import _simulate_events, _simulate_fast
+from repro.machines.engine import (
+    _cycle_loop,
+    _simulate_events,
+    _simulate_fast,
+)
 from repro.memory import BankedMemory, FixedLatencyMemory
 from repro.obs.telemetry import TelemetryCollector
 from repro.partition import Unit
@@ -277,10 +288,92 @@ def measure_events(scale_name: str, rounds: int = 3) -> list[dict]:
     return rows
 
 
+def measure_unlimited(scale_name: str, rounds: int = 3) -> list[dict]:
+    """Shipped table route vs the cycle loop at the unlimited window.
+
+    The shipped run is timed cold on fresh copies (``_best_of``), so the
+    pass memo serves nothing; the loop is driven directly with the
+    skip armed, as the shipped route ran it before the dataflow pass.
+    Rounds are interleaved; schedules and skip counts must be equal.
+    """
+    program = build_kernel("flo52q", PRESETS[scale_name].scale)
+    memory = FixedLatencyMemory(MEMORY_DIFFERENTIAL)
+    rows = []
+    for machine_name, compiled in (
+        ("dm", DecoupledMachine.compile(program)),
+        ("swsm", SuperscalarMachine.compile(program)),
+    ):
+        window = compiled.num_instructions
+        if machine_name == "dm":
+            configs = {
+                Unit.AU: UnitConfig(window=window, width=4, name="AU"),
+                Unit.DU: UnitConfig(window=window, width=5, name="DU"),
+            }
+        else:
+            configs = {Unit.SINGLE: UnitConfig(window=window, width=9,
+                                               name="SWSM")}
+        low = compiled.lowered()
+        addlat = low.addlat_for(
+            DEFAULT_LATENCIES.mem_base + MEMORY_DIFFERENTIAL
+        )
+
+        def shipped(copy):
+            return simulate(copy, configs, memory, collect_issue_times=True)
+
+        def loop():
+            collector = TelemetryCollector()
+            result = _cycle_loop(
+                low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
+                True, steady_ok=True, chunked=False, collector=collector,
+            )[0]
+            return result, collector
+
+        reference, collector = loop()
+        result = shipped(pickle.loads(pickle.dumps(compiled)))
+        assert result.issue_times == reference.issue_times, (
+            f"shipped route disagrees with the cycle loop on "
+            f"{machine_name}@unlimited/{scale_name}"
+        )
+        assert (
+            result.telemetry.counters["steady_skips"]
+            == collector.counters["steady_skips"]
+        )
+        shipped_seconds = loop_seconds = float("inf")
+        for _ in range(rounds):
+            shipped_seconds = min(
+                shipped_seconds, _best_of(1, shipped, compiled)
+            )
+            start = time.perf_counter()
+            loop()
+            loop_seconds = min(loop_seconds, time.perf_counter() - start)
+        base = {
+            "scale": scale_name,
+            "machine": f"{machine_name}@unlimited",
+            "window": window,
+            "instructions": low.total,
+            "cycles": result.cycles,
+        }
+        rows.append({
+            **base,
+            "engine": "loop",
+            "seconds": round(loop_seconds, 6),
+            "ips": round(low.total / loop_seconds),
+        })
+        rows.append({
+            **base,
+            "engine": "soa",
+            "seconds": round(shipped_seconds, 6),
+            "ips": round(low.total / shipped_seconds),
+            "speedup_vs_loop": round(loop_seconds / shipped_seconds, 2),
+        })
+    return rows
+
+
 def measure_search(scale_name: str, rounds: int = 3) -> list[dict]:
     """Steady-state search overhead on a run the skip never helps.
 
-    Times the uniform-table fast loop with the skip armed and disarmed
+    Times the uniform-table cycle loop (``_cycle_loop``, so no dataflow
+    pass attempt) with the skip armed and disarmed
     (``steady_ok=False``), rounds interleaved, and asserts cycle
     parity and that the armed run never skipped. The armed row records
     its time over the disarmed one as ``overhead_vs_disarmed``; the
@@ -296,7 +389,7 @@ def measure_search(scale_name: str, rounds: int = 3) -> list[dict]:
 
     def run(armed: bool):
         collector = TelemetryCollector()
-        result = _simulate_fast(
+        result = _cycle_loop(
             low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
             False, steady_ok=armed, chunked=False,
             collector=collector,
@@ -371,6 +464,20 @@ def test_event_engine_tiers_recorded(preset):
             )
 
 
+def test_unlimited_window_recorded(preset):
+    """Shipped table route vs the cycle loop at the unlimited window,
+    for the active scale; parity asserted, the ratio only recorded."""
+    scale_name = preset.name if preset.name in PRESETS else "small"
+    rows = measure_unlimited(scale_name, rounds=3)
+    record_engine_rows(rows)
+    for row in rows:
+        if row["engine"] == "soa":
+            print(
+                f"\n{row['machine']}@{row['scale']}: "
+                f"{row['speedup_vs_loop']:.2f}x over the cycle loop"
+            )
+
+
 def test_search_overhead_recorded(preset):
     """Never-matching steady-state search, armed vs disarmed, for the
     active scale; parity asserted, the ratio only recorded."""
@@ -389,6 +496,7 @@ def main() -> None:
         all_rows.extend(measure_scale(scale_name))
         all_rows.extend(measure_stateful(scale_name))
         all_rows.extend(measure_search(scale_name))
+        all_rows.extend(measure_unlimited(scale_name))
     for scale_name in EVENT_SCALES:
         all_rows.extend(measure_events(scale_name))
     record_engine_rows(all_rows)
@@ -409,6 +517,14 @@ def main() -> None:
             print(f"{scale_name:8} {machine_name:14} {probing['ips']:>12,} "
                   f"{events['ips']:>12,} "
                   f"{events['speedup_vs_probing']:>7.1f}x")
+    print(f"\n{'scale':8} {'machine':16} {'loop ips':>12} "
+          f"{'shipped ips':>12} {'speedup':>8}")
+    for scale_name in SCALES:
+        for machine_name in ("dm@unlimited", "swsm@unlimited"):
+            loop = by_key[(scale_name, machine_name, "loop")]
+            row = by_key[(scale_name, machine_name, "soa")]
+            print(f"{scale_name:8} {machine_name:16} {loop['ips']:>12,} "
+                  f"{row['ips']:>12,} {row['speedup_vs_loop']:>7.2f}x")
     print(f"\n{'scale':8} {'machine':14} {'search overhead':>16}")
     for scale_name in SCALES:
         row = by_key[(scale_name, f"swsm/{SEARCH_KERNEL}", "search-armed")]

@@ -68,7 +68,14 @@ _HEADER = {
                         "never matches (rows carry "
                         "'overhead_vs_disarmed')",
         "search-disarmed": "the same run with the skip disarmed "
-                           "(_simulate_fast(..., steady_ok=False))",
+                           "(_cycle_loop(..., steady_ok=False); rows "
+                           "before the dataflow pass called it through "
+                           "_simulate_fast)",
+        "loop": "the uniform-table cycle loop driven directly "
+                "(repro.machines.engine._cycle_loop, skip armed): what "
+                "the shipped table route ran before the dataflow pass; "
+                "the baseline of the '<machine>@unlimited' rows, whose "
+                "'soa' row carries 'speedup_vs_loop'",
     },
     "machines": {
         "dm": "access decoupled machine, fixed-differential memory",
@@ -80,6 +87,10 @@ _HEADER = {
         "swsm/<kernel>": "SWSM on another kernel than the header's, "
                          "fixed-differential memory; rows carry the "
                          "'window'",
+        "<machine>@unlimited": "DM or SWSM at the paper's unlimited "
+                               "window (as large as the compiled "
+                               "program), fixed-differential memory; "
+                               "rows carry the 'window'",
     },
 }
 

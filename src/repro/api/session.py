@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from ..config import LatencyModel
+from ..config import LatencyModel, require_scale
 from ..ir import Program
 from ..ir.transforms import expand_code
 from ..kernels import build_kernel
@@ -134,6 +134,7 @@ class Session:
     trace: str | Path | bool | None = None
 
     def __post_init__(self) -> None:
+        require_scale(self.scale)
         self._programs: dict[tuple[str, float], Program] = {}
         self._custom: dict[str, Program] = {}
         self._prebuilt: Mapping[str, Program] = {}

@@ -29,6 +29,7 @@ __all__ = [
     "UnitConfig",
     "DEFAULT_MEMORY_DIFFERENTIAL",
     "MEMORY_DIFFERENTIALS",
+    "require_scale",
 ]
 
 #: The paper's headline memory differential; the text motivates it as
@@ -82,6 +83,21 @@ class LatencyModel:
 
 
 DEFAULT_LATENCIES = LatencyModel()
+
+
+def require_scale(scale: object) -> int:
+    """``scale`` if it is an integer instruction count, else ConfigError.
+
+    Passing a preset's name where its instruction count belongs is the
+    usual slip, so the error names the integer to pass instead.
+    """
+    if isinstance(scale, int) and not isinstance(scale, bool):
+        return scale
+    name = repr(scale) if isinstance(scale, str) else "name"
+    raise ConfigError(
+        f"scale must be an integer instruction count, got {scale!r}; "
+        f"for a preset pass repro.experiments.PRESETS[{name}].scale"
+    )
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,18 @@ and the requested probes pick the strategy:
   branch for every model, with the residency intervals, the ESW
   samples and the zero-latency wakeup floor switched on.
 
-:func:`_simulate_fast` and :func:`_simulate_events` are the only two
-per-run cycle loops. The choice depends only on the inputs — memory
-model, probes, latencies — and whichever route runs, the schedule is
-bit-exact. Each result's :class:`~repro.obs.telemetry.RunTelemetry`
-records the strategy taken and the run's accelerator counters.
+:func:`_cycle_loop` (the fast loop) and :func:`_simulate_events` are
+the only two per-run cycle loops. A latency-table run (uniform route,
+speculative passes) first tries :func:`_dataflow_pass`, which
+schedules a run whose windows never bind — the paper's unlimited
+window — in one pass in gid order without a cycle loop, and declines
+whenever a window binds or the loop could take a steady skip
+(docs/timing.md, "Non-binding windows"); :func:`_simulate_fast` picks
+between the two. The choice depends only on the inputs — memory
+model, probes, latencies, windows — and whichever route runs, the
+schedule is bit-exact. Each result's
+:class:`~repro.obs.telemetry.RunTelemetry` records the strategy taken
+and the run's accelerator counters.
 :func:`simulate` reads and writes no process state; its only state
 is one transient per-program memo, never pickled: each lowered
 program keeps its last uniform-table pass (:func:`_table_pass`),
@@ -63,8 +70,10 @@ a property the test-suite checks kernel by kernel and model by model.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
+from operator import add
 from time import perf_counter
 
 from ..config import DEFAULT_LATENCIES, LatencyModel, UnitConfig
@@ -77,7 +86,7 @@ from ..memory import (
 )
 from ..obs.telemetry import RunTelemetry, TelemetryCollector
 from ..partition.machine_program import MachineProgram, Unit
-from .lowered import LoweredProgram
+from .lowered import LoweredProgram, SteadyState
 
 __all__ = ["UnitStats", "SimulationResult", "simulate"]
 
@@ -493,6 +502,297 @@ def _simulate_fast(
     collector: TelemetryCollector,
     probes: tuple[bool, bool] = (False, False),
 ) -> tuple[SimulationResult, list[int]]:
+    """One table-driven or chunked run: the dataflow pass, else the loop.
+
+    The table branch (``chunked`` off) first tries
+    :func:`_dataflow_pass`, which schedules a run whose windows never
+    bind without a cycle loop and declines everything else; the
+    stateful branch and every declined pass run :func:`_cycle_loop`.
+    Arguments and the returned ``(result, issue_time_list)`` are the
+    loop's.
+    """
+    if not chunked:
+        done = _dataflow_pass(
+            low, program, unit_configs, memory, addlat,
+            collect_issue_times, steady_ok,
+        )
+        if done is not None:
+            return done
+    return _cycle_loop(
+        low, program, unit_configs, memory, addlat, latencies,
+        collect_issue_times, steady_ok, chunked, collector, probes,
+    )
+
+
+def _dataflow_pass(
+    low: LoweredProgram,
+    program: MachineProgram,
+    unit_configs: dict[Unit, UnitConfig],
+    memory: MemorySystem,
+    addlat: list[int],
+    collect_issue_times: bool,
+    steady_ok: bool,
+) -> tuple[SimulationResult, list[int]] | None:
+    """The table branch's schedule in one gid-order pass, or None.
+
+    While no unit's window binds, stream position ``p`` of a unit of
+    width ``w`` dispatches at cycle ``p // w``, and oldest-first issue
+    puts each gid at the first cycle at or after
+    ``max(p // w + 1, latest operand)`` where fewer than ``w`` older
+    gids of its unit issue. Those depend only on older gids, so one
+    pass in gid order places every instruction, with a per-unit
+    per-cycle slot count and a "full" mask searched by
+    ``bytearray.find``. Once a unit's counts are final through its
+    dispatch cycle ``d`` (every later position issues after ``d``), the
+    pass checks ``dispatched - issued <= window`` there, and returns
+    None at the first cycle where the window would have held dispatch
+    back (docs/timing.md, "Non-binding windows").
+
+    The result equals :func:`_cycle_loop`'s, the steady-skip counters
+    included: with ``steady_ok``, the loop's checkpoint sequence is
+    replayed from the counts, and the pass returns None if the loop
+    could skip (:func:`_skip_possible`). It also returns None unless
+    every latency is at least one cycle, dependencies point at older
+    gids, each stream is ascending in gid and every width fits a byte.
+    """
+    total = low.total
+    units = low.units
+    nu = len(units)
+    streams = low.stream_gids
+    widths = [unit_configs[u].width for u in units]
+    windows = [unit_configs[u].window for u in units]
+    if (
+        low.min_latency < 1
+        or low.min_dep_offset < 1
+        or max(widths, default=1) > 255
+        or any(list(stream) != sorted(stream) for stream in streams)
+    ):
+        return None
+    lens = [len(stream) for stream in streams]
+    size = max((n // w for n, w in zip(lens, widths)), default=0) + 2
+    counts = [bytearray(size) for _ in range(nu)]
+    slots = [(bytearray(size), count, w) for count, w in zip(counts, widths)]
+    ptrs = [0] * nu
+    watch = [
+        [u, n, w, window, -1, 0]
+        for u, (n, w, window) in enumerate(zip(lens, widths, windows))
+        if n > window
+    ]
+    next_check = 0 if watch else total
+    opmax = [0] * total
+    issue_time = [0] * total
+    for g, u, lat, users in zip(range(total), low._unit, addlat, low.cons):
+        if g == next_check:
+            if not _windows_hold(watch, ptrs, counts):
+                return None
+            next_check = g + _CHECK_EVERY if watch else total
+        full, count, w = slots[u]
+        p = ptrs[u]
+        ptrs[u] = p + 1
+        c = p // w + 1
+        if opmax[g] > c:
+            c = opmax[g]
+        try:
+            taken = full[c]
+        except IndexError:
+            taken = 1
+        if taken:
+            ready = c
+            c = full.find(0, ready)
+            if c < 0:
+                # Every slot from the ready cycle on is taken, or it
+                # lies past the arrays: grow them (doubling).
+                c = max(ready, len(full))
+                grow = bytes(max(c + 1, 2 * len(full)) - len(full))
+                full.extend(grow)
+                count.extend(grow)
+        n = count[c] + 1
+        count[c] = n
+        if n == w:
+            full[c] = 1
+        issue_time[g] = c
+        avail = c + lat
+        for x in users:
+            if opmax[x] < avail:
+                opmax[x] = avail
+    if watch and not _windows_hold(watch, ptrs, counts):
+        return None
+    if steady_ok:
+        steady = _steady_for(low, addlat)
+        if steady is not None and _skip_possible(
+            steady, streams, widths, counts
+        ):
+            return None
+
+    unit_stats = {}
+    for u in range(nu):
+        used = counts[u].rstrip(b"\0")
+        unit_stats[units[u]] = UnitStats(
+            unit=units[u],
+            instructions=lens[u],
+            last_issue=max(len(used) - 1, 0),
+            issue_cycles=len(used) - used.count(0),
+        )
+    result = _result(
+        low, program, memory, max(map(add, issue_time, addlat), default=0),
+        unit_stats, None, 0, 0.0,
+        dict(enumerate(issue_time)) if collect_issue_times else None,
+    )
+    return result, issue_time
+
+
+#: Gids the dataflow pass places between two window checks: an attempt
+#: on a binding window aborts within about this much work.
+_CHECK_EVERY = 256
+
+
+def _windows_hold(
+    watch: list[list[int]], ptrs: list[int], counts: list[bytearray]
+) -> bool:
+    """The dataflow pass's running ``dispatched - issued <= window`` test.
+
+    ``watch`` holds ``[unit, length, width, window, checked cycle,
+    issued through it]`` for each unit whose window could still bind,
+    and ``ptrs`` each unit's count of placed stream positions. The
+    unplaced positions dispatch no earlier than cycle ``ptrs[u] // w``
+    and so issue after it, which makes the unit's counts final through
+    that cycle. Each newly final dispatch cycle is checked; False at
+    the first where dispatch would have been held back. A unit leaves
+    ``watch`` once its window holds the rest of its stream
+    (``length - issued <= window``): from then on nothing can bind.
+    """
+    for state in watch:
+        u, n, w, window, checked, issued = state
+        count = counts[u]
+        last = min(ptrs[u], n - 1) // w
+        for d in range(checked + 1, last + 1):
+            issued += count[d]
+            dispatched = (d + 1) * w
+            if dispatched > n:
+                dispatched = n
+            if dispatched - issued > window:
+                return False
+            if n - issued <= window:
+                last = n
+                break
+        state[4] = last
+        state[5] = issued
+    watch[:] = [state for state in watch if state[4] < state[1]]
+    return True
+
+
+def _skip_possible(
+    steady: SteadyState,
+    streams: tuple[tuple[int, ...], ...],
+    widths: list[int],
+    counts: list[bytearray],
+) -> bool:
+    """Whether the cycle loop could take a steady skip on this schedule.
+
+    Replays the loop's checkpoints on a schedule whose windows never
+    bind: the checkpoint for boundary ``B`` falls in the first cycle
+    whose dispatch reaches a gid ``>= B``, and ``counts`` give each
+    unit's issues and occupancy there. A skip needs two consecutive
+    checkpoints (among the loop's first :data:`_MAX_CHECKPOINTS`) one
+    period apart, with equal per-unit occupancy and per-unit issue
+    deltas of ``steady.unit_counts``; False means no pair has them, so
+    the loop would take no skip and bump no counter.
+    """
+    period = steady.period
+    next_boundary = steady.start + period
+    issued = [0] * len(streams)
+    last_t = -1
+    previous = None
+    for _ in range(_MAX_CHECKPOINTS):
+        t = min(
+            (
+                bisect_left(stream, next_boundary) // w
+                for stream, w in zip(streams, widths)
+                if stream and stream[-1] >= next_boundary
+            ),
+            default=-1,
+        )
+        if t < 0:
+            return False
+        boundary = next_boundary
+        fmax = max(
+            stream[min(len(stream), (t + 1) * w) - 1]
+            for stream, w in zip(streams, widths)
+            if stream
+        )
+        while next_boundary <= fmax:
+            next_boundary += period
+        occupancy = []
+        for u, (stream, w, count) in enumerate(zip(streams, widths, counts)):
+            issued[u] += sum(count[last_t + 1: t + 1])
+            occupancy.append(min(len(stream), (t + 1) * w) - issued[u])
+        last_t = t
+        if (
+            previous is not None
+            and boundary - previous[0] == period
+            and occupancy == previous[2]
+            and all(
+                now - before == share
+                for now, before, share in zip(
+                    issued, previous[1], steady.unit_counts
+                )
+            )
+        ):
+            return True
+        previous = (boundary, tuple(issued), occupancy)
+    return False
+
+
+def _steady_for(low: LoweredProgram, addlat: list[int]) -> SteadyState | None:
+    """The structural period the steady skip may use with ``addlat``.
+
+    None for programs below :data:`_SKIP_MIN_TOTAL` or without a
+    verified structural period. The structural period ignores
+    addresses, so a per-gid table (speculative extras) must itself
+    repeat for the skip to stay cycle-exact. Uniform tables pass the
+    one slice compare trivially; tables with a warmup prefix
+    (cold-start misses) get their verified start raised past it
+    instead — block-wise slice compares keep the scan at C speed.
+    """
+    total = low.total
+    if total < _SKIP_MIN_TOTAL:
+        return None
+    steady = low.steady()
+    if steady is None:
+        return None
+    period = steady.period
+    if addlat[steady.start: total - period] == addlat[steady.start + period:]:
+        return steady
+    ok_from = total - period
+    start = steady.start
+    while ok_from > start:
+        probe = max(start, ok_from - 4096)
+        if addlat[probe: ok_from] == addlat[probe + period: ok_from + period]:
+            ok_from = probe
+            continue
+        for gid in range(ok_from - 1, probe - 1, -1):
+            if addlat[gid] != addlat[gid + period]:
+                ok_from = gid + 1
+                break
+        break
+    if total - ok_from >= 3 * period + steady.dep_span + 64:
+        return replace(steady, start=ok_from)
+    return None
+
+
+def _cycle_loop(
+    low: LoweredProgram,
+    program: MachineProgram,
+    unit_configs: dict[Unit, UnitConfig],
+    memory: MemorySystem,
+    addlat: list[int],
+    latencies: LatencyModel,
+    collect_issue_times: bool,
+    steady_ok: bool,
+    chunked: bool,
+    collector: TelemetryCollector,
+    probes: tuple[bool, bool] = (False, False),
+) -> tuple[SimulationResult, list[int]]:
     """The cycle loop: every latency baked or chunk-batched.
 
     ``addlat`` folds the availability rule into one add per issue,
@@ -568,38 +868,7 @@ def _simulate_fast(
         esw_du = units.index(Unit.DU)
         orig_index = low._orig
 
-    steady = None
-    if steady_ok and total >= _SKIP_MIN_TOTAL:
-        steady = low.steady()
-    if steady is not None:
-        # The structural period ignores addresses, so a per-gid table
-        # (speculative extras) must itself repeat for the skip to stay
-        # cycle-exact. Uniform tables pass the one slice compare
-        # trivially; tables with a warmup prefix (cold-start misses)
-        # get their verified start raised past it instead — block-wise
-        # slice compares keep the scan at C speed.
-        period = steady.period
-        if addlat[steady.start: total - period] != addlat[
-            steady.start + period:
-        ]:
-            ok_from = total - period
-            start = steady.start
-            while ok_from > start:
-                probe = max(start, ok_from - 4096)
-                if addlat[probe: ok_from] == addlat[
-                    probe + period: ok_from + period
-                ]:
-                    ok_from = probe
-                    continue
-                for gid in range(ok_from - 1, probe - 1, -1):
-                    if addlat[gid] != addlat[gid + period]:
-                        ok_from = gid + 1
-                        break
-                break
-            if total - ok_from >= 3 * period + steady.dep_span + 64:
-                steady = replace(steady, start=ok_from)
-            else:
-                steady = None
+    steady = _steady_for(low, addlat) if steady_ok else None
     if steady is not None:
         period = steady.period
         next_boundary = steady.start + period

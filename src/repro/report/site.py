@@ -601,11 +601,13 @@ def _seconds(value: object) -> str:
 
 def _row_speedup(row: dict) -> str:
     """One speedup cell, whichever baseline the row was measured
-    against (object engine, probe-route loop, or per-point dispatch)."""
+    against (object engine, probe-route loop, per-point dispatch, or
+    the uniform-table cycle loop)."""
     for key, baseline in (
         ("speedup_vs_objects", "objects"),
         ("speedup_vs_probing", "probing"),
         ("speedup_vs_per_point", "per-point"),
+        ("speedup_vs_loop", "loop"),
     ):
         value = row.get(key)
         if value is not None:

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..config import require_scale
 from ..errors import KernelError
 from ..ir import Program
 from ..kernels.base import KernelSpec, get_kernel
@@ -193,6 +194,7 @@ def generate_corpus(
     size; per-kernel grammar seeds are drawn from a corpus-level RNG
     (collisions rejected, so every kernel is distinct).
     """
+    require_scale(scale)
     if size < 1:
         raise KernelError(f"corpus size must be >= 1, got {size}")
     if not families:

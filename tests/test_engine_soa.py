@@ -37,7 +37,7 @@ from repro.experiments.scales import PRESETS
 from repro.kernels import PAPER_ORDER, build_kernel
 from repro.machines import simulate, simulate_naive
 from repro.machines import engine
-from repro.machines.engine import _MAX_CHECKPOINTS, _simulate_fast
+from repro.machines.engine import _MAX_CHECKPOINTS, _cycle_loop
 from repro.memory import (
     BankedMemory,
     BypassBuffer,
@@ -70,7 +70,7 @@ def compiled_variants(name: str, scale: int):
 
 
 def run_unskipped(compiled, configs, memory, *, chunked=False):
-    """The fast loop driven directly, steady-state skip disarmed.
+    """The cycle loop driven directly, steady-state skip disarmed.
 
     Uniform memory folds into one latency table; ``chunked`` answers
     every issue batch with one live query instead (stateful models).
@@ -85,7 +85,7 @@ def run_unskipped(compiled, configs, memory, *, chunked=False):
             DEFAULT_LATENCIES.mem_base + memory.uniform_extra_latency()
         )
     collector = TelemetryCollector()
-    result, _ = _simulate_fast(
+    result, _ = _cycle_loop(
         low, compiled, configs, memory, addlat, DEFAULT_LATENCIES,
         True, steady_ok=False, chunked=chunked, collector=collector,
     )

@@ -261,6 +261,13 @@ class TestSweepResult:
         assert outcome.cycles() == tuple(r.cycles for _, r in outcome)
 
 
+def test_preset_name_as_scale_is_rejected_up_front():
+    with pytest.raises(ConfigError, match=r"PRESETS\['small'\]\.scale"):
+        Session(scale="small")
+    with pytest.raises(ConfigError, match=r"PRESETS\[name\]\.scale"):
+        Session(scale=2.5)
+
+
 class TestMachineRegistry:
     def test_builtins_registered(self):
         assert {"dm", "swsm", "serial"} <= set(list_machines())

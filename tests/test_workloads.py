@@ -13,6 +13,7 @@ import pytest
 
 from repro import KernelError, build_kernel, get_kernel, list_kernels
 from repro.api import Session
+from repro.errors import ConfigError
 from repro.experiments.generalization import run_generalization_study
 from repro.kernels import PAPER_ORDER
 from repro.partition import analyze_decoupling, compute_address_slice
@@ -228,6 +229,10 @@ class TestCorpus:
         assert set(by_family) == set(FAMILIES)
         sizes = sorted(len(rows) for rows in by_family.values())
         assert sizes[-1] - sizes[0] <= 1  # even coverage
+
+    def test_preset_name_as_scale_is_rejected_up_front(self):
+        with pytest.raises(ConfigError, match=r"PRESETS\['tiny'\]\.scale"):
+            generate_corpus(12, 0, "tiny")
 
     def test_default_name_matches_acceptance_convention(self):
         assert generate_corpus(5, seed=0, scale=SCALE).name == "default-5"

@@ -3,11 +3,15 @@
 Crosses a corpus of generated kernels (``gen:<family>:<seed>`` names)
 plus two paper kernels with both machines (DM, SWSM) and every memory
 model kind in the hierarchy scenario space, then runs each case
-through seven columns — shipped ``simulate`` routing (``shipped``), the
-event-heap scheduler driven directly (``events``), the fast loop's
+through eight columns — shipped ``simulate`` routing (``shipped``), the
+event-heap scheduler driven directly (``events``), the cycle loop's
 stateful issue branch forced with probes off (``chunked``: the
 chunked route, which the router takes only when a stateful model
-declines both speculation and the event heap), the naive
+declines both speculation and the event heap), the cycle loop's
+table branch driven directly with the steady skip armed (``loop``:
+``_cycle_loop``, uniform models only, held to the oracle — shipped
+routing schedules runs whose windows never bind in the dataflow pass
+instead, so the loop needs a column of its own), the naive
 cycle-by-cycle oracle (``naive``, :mod:`repro.machines.reference`),
 the batched sweep engine (``repro.machines.batch``, run as a
 two-lane batch at two memory differentials and compared lane by
@@ -19,10 +23,16 @@ every earlier column ran on, so its uniform-table passes come from the
 program's pass memo) — and diffs the results field by field.
 ``shipped`` collects issue times and so never reaches the memo; the
 ``warm`` runs must match it in every field but issue times, telemetry
-strategy and counters included. Any divergence is a bug
-in one of the engines; the tool prints the first mismatching field per
-case and exits non-zero. The oracle steps every cycle, so keep the
-scale small.
+strategy and counters included.
+
+Those cases use window 32. An unlimited-window case set adds, per
+program and machine, the paper's unlimited window (as large as the
+compiled program) on the fixed model at md 0 and at ``--md``, through
+``shipped``, ``loop`` and ``naive``: shipped must match the oracle and
+take exactly the loop's steady skips. Any divergence is a bug in one
+of the engines; the tool prints the first mismatching field per case
+and exits non-zero. The oracle steps every cycle, so keep the scale
+small.
 
 Usage (CI runs it at tiny scale, mirroring tools/service_smoke.py):
 
@@ -48,9 +58,11 @@ from repro.kernels import build_kernel  # noqa: E402
 from repro.machines import simulate, simulate_naive  # noqa: E402
 from repro.machines.batch import BatchLane, simulate_batch  # noqa: E402
 from repro.machines.engine import (  # noqa: E402
+    _cycle_loop,
     _simulate_events,
     _simulate_fast,
 )
+from repro.memory import FixedLatencyMemory  # noqa: E402
 from repro.obs.telemetry import TelemetryCollector  # noqa: E402
 from repro.partition import Unit  # noqa: E402
 from repro.workloads import FAMILIES  # noqa: E402
@@ -74,6 +86,30 @@ COMPARED_FIELDS = (
 
 def _shipped(compiled, configs, memory):
     return simulate(compiled, configs, memory, collect_issue_times=True)
+
+
+def unit_configs(machine_name: str, window: int):
+    if machine_name == "dm":
+        return {
+            Unit.AU: UnitConfig(window=window, width=4, name="AU"),
+            Unit.DU: UnitConfig(window=window, width=5, name="DU"),
+        }
+    return {Unit.SINGLE: UnitConfig(window=window, width=9)}
+
+
+def _loop(compiled, configs, memory):
+    """The cycle loop's table branch, skip armed, on a uniform model:
+    its result and the steady skips it took."""
+    low = compiled.lowered()
+    table = low.addlat_for(
+        DEFAULT_LATENCIES.mem_base + memory.uniform_extra_latency()
+    )
+    collector = TelemetryCollector()
+    result = _cycle_loop(
+        low, compiled, configs, memory, table, DEFAULT_LATENCIES, True,
+        steady_ok=True, chunked=False, collector=collector,
+    )[0]
+    return result, collector.counters["steady_skips"]
 
 
 def diff_fields(reference, candidate, fields=COMPARED_FIELDS) -> list[str]:
@@ -110,13 +146,7 @@ def run_case(program_name: str, scale: int, md: int,
     program = build_kernel(program_name, scale)
     for machine_name, compile_fn in MACHINES:
         compiled = compile_fn(program)
-        if machine_name == "dm":
-            configs = {
-                Unit.AU: UnitConfig(window=32, width=4, name="AU"),
-                Unit.DU: UnitConfig(window=32, width=5, name="DU"),
-            }
-        else:
-            configs = {Unit.SINGLE: UnitConfig(window=32, width=9)}
+        configs = unit_configs(machine_name, 32)
         for label, spec in HIERARCHY_MEMORY_VARIANTS:
             case = f"{program_name} x {machine_name} x {label}"
             shipped = _shipped(compiled, configs, spec.build(md))
@@ -137,6 +167,13 @@ def run_case(program_name: str, scale: int, md: int,
                 failures.append(
                     f"{case}: chunked vs naive differ on {', '.join(fields)}"
                 )
+            memory = spec.build(md)
+            if memory.uniform_extra_latency() is not None:
+                fields = diff_fields(naive, _loop(compiled, configs, memory)[0])
+                if fields:
+                    failures.append(
+                        f"{case}: loop vs naive differ on {', '.join(fields)}"
+                    )
             for engine_name, candidate in (
                 ("events", events), ("naive", naive)
             ):
@@ -199,6 +236,41 @@ def run_case(program_name: str, scale: int, md: int,
     return failures, reused
 
 
+def run_unlimited_case(program_name: str, scale: int, md: int,
+                       verbose: bool) -> list[str]:
+    """The unlimited window on the fixed model, both machines, md 0 and
+    ``md``: shipped and loop against the oracle, and equal skips."""
+    failures = []
+    program = build_kernel(program_name, scale)
+    for machine_name, compile_fn in MACHINES:
+        compiled = compile_fn(program)
+        configs = unit_configs(machine_name, compiled.num_instructions)
+        for case_md in sorted({0, md}):
+            case = f"{program_name} x {machine_name} x unlimited md={case_md}"
+            memory = FixedLatencyMemory(case_md)
+            shipped = _shipped(compiled, configs, memory)
+            loop, loop_skips = _loop(compiled, configs, memory)
+            naive = simulate_naive(compiled, configs, memory)
+            for engine_name, candidate in (
+                ("shipped", shipped), ("loop", loop)
+            ):
+                fields = diff_fields(naive, candidate)
+                if fields:
+                    failures.append(
+                        f"{case}: {engine_name} vs naive differ on "
+                        f"{', '.join(fields)}"
+                    )
+            skips = shipped.telemetry.counters["steady_skips"]
+            if skips != loop_skips:
+                failures.append(
+                    f"{case}: shipped took {skips} steady skips, "
+                    f"the loop {loop_skips}"
+                )
+            if verbose and not failures:
+                print(f"  ok {case}: {shipped.cycles} cycles")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=2,
@@ -227,18 +299,26 @@ def main(argv: list[str] | None = None) -> int:
         )
         failures.extend(case_failures)
         reused += case_reused
+        failures.extend(
+            run_unlimited_case(name, preset.scale, args.md, args.verbose)
+        )
     if not reused:
         failures.append("warm column: no run reused a memoised pass")
 
     cases = len(corpus) * len(MACHINES) * len(HIERARCHY_MEMORY_VARIANTS)
+    unlimited = len(corpus) * len(MACHINES) * len({0, args.md})
     if failures:
-        print(f"engine fuzz: FAIL — {len(failures)}/{cases} cases diverge")
+        print(
+            f"engine fuzz: FAIL — {len(failures)} failures over {cases} "
+            f"cases and {unlimited} unlimited-window cases"
+        )
         for line in failures:
             print(f"  {line}")
         return 1
     print(
-        f"engine fuzz: OK — {cases} cases (x7 columns) agree on every "
-        f"field (scale={preset.name}, md={args.md}; warm runs reused "
+        f"engine fuzz: OK — {cases} cases (x8 columns) and {unlimited} "
+        f"unlimited-window cases agree on every field "
+        f"(scale={preset.name}, md={args.md}; warm runs reused "
         f"{reused} passes)"
     )
     return 0
