@@ -1,8 +1,8 @@
 """The experiment session: evaluate points and sweeps, cached and parallel.
 
 ``Session`` keeps three levels of in-memory memoisation — architectural
-traces, compiled machine programs, simulation results — and adds two
-things:
+traces, compiled machine programs, simulation results — plus the static
+page records of :meth:`Session.static_record`, and adds two things:
 
 * a **persistent result store** (``cache_dir``): every result is
   recorded in ``cache_dir/results.sqlite``, a
@@ -37,7 +37,7 @@ from concurrent.futures import as_completed
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..config import LatencyModel, require_scale
 from ..ir import Program
@@ -54,6 +54,7 @@ from .spec import (
     latencies_doc,
     point_batch_key,
     point_digest,
+    profile_digest,
 )
 
 __all__ = ["Session", "SweepResult"]
@@ -140,6 +141,8 @@ class Session:
         self._prebuilt: Mapping[str, Program] = {}
         self._compiled: dict[tuple[str, float, str, str], object] = {}
         self._profiles: dict[str, object] = {}
+        # Static page records by (kind, name); per store, like _store_keys.
+        self._records: dict[tuple[str, str], object] = {}
         self._results: dict[Point, SimulationResult] = {}
         # _UNSET until first use, which opens the cache_dir store.
         self._result_store = _UNSET
@@ -152,6 +155,7 @@ class Session:
             "disk_hits": 0,
             "disk_misses": 0,
             "store_hits": 0,
+            "kernels_built": 0,
             "batch_groups": 0,
             "batch_points": 0,
             "compile_seconds": 0.0,
@@ -204,9 +208,10 @@ class Session:
                     _open_store(Path(self.cache_dir) / "results.sqlite")
                 )
             return self._result_store
-        # The recorded-key memo is per store: a fresh store must see
-        # every point again even if this session already hashed it.
+        # The recorded-key and record memos are per store: a fresh
+        # store must see every point and record again.
         self._store_keys = {}
+        self._records = {}
         self._store_tier = "store"
         self._result_store = None if target is None else _open_store(target)
         return self._result_store
@@ -258,6 +263,7 @@ class Session:
                 program = self._prebuilt.get(name)
                 if program is None:
                     program = build_kernel(name, self.scale)
+                    self.stats["kernels_built"] += 1
                 self._programs[key] = program
         return self._programs[key]
 
@@ -269,6 +275,36 @@ class Session:
 
             self._profiles[name] = characterize(self.program(name))
         return self._profiles[name]
+
+    def static_record(
+        self, kind: str, name: str, compute: Callable[[], object]
+    ):
+        """One kernel's static page record, memoised in memory and the store.
+
+        ``compute`` returns the record as JSON-able data (a tuple reads
+        back as a list). The record is taken from this session's memory,
+        else from the store's ``profiles`` table under
+        :func:`~repro.api.spec.profile_digest` (kind, name, scale,
+        Python version, source digest), else computed and written there.
+        Computed records pass through JSON too, so a cold and a warm
+        session return equal values. Custom programs skip both memos:
+        the key does not cover their content.
+        """
+        if name in self._custom:
+            return _json_copy(compute())
+        memo = (kind, name)
+        if memo not in self._records:
+            store = self.store()
+            if store is None:
+                record = _json_copy(compute())
+            else:
+                key = profile_digest(kind, name, self.scale)
+                record = store.load_profile(key)
+                if record is None:
+                    record = _json_copy(compute())
+                    store.record_profile(key, record)
+            self._records[memo] = record
+        return self._records[memo]
 
     # -- compilation -------------------------------------------------------------
 
@@ -943,6 +979,11 @@ def _open_store(target):
     from ..report.store import ResultStore
 
     return target if isinstance(target, ResultStore) else ResultStore(target)
+
+
+def _json_copy(record):
+    """``record`` as it reads back from JSON."""
+    return json.loads(json.dumps(record))
 
 
 def _stamp_tier(result: SimulationResult, tier: str) -> SimulationResult:

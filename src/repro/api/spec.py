@@ -34,7 +34,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
 
 from ..config import LatencyModel
@@ -58,6 +60,8 @@ __all__ = [
     "point_digest",
     "point_from_dict",
     "point_to_dict",
+    "profile_digest",
+    "source_digest",
 ]
 
 #: Sentinel window meaning "as large as the program" (paper: unlimited).
@@ -66,6 +70,9 @@ UNLIMITED: int | None = None
 #: Bump when the cached result format or timing semantics change; part
 #: of every disk-cache key, so stale caches invalidate themselves.
 CACHE_FORMAT = 2
+
+#: The interpreter's major.minor version; part of every profile key.
+PYTHON_VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 _MEMORY_KINDS = (
     "fixed", "bypass", "cache", "hierarchy", "banked", "prefetch",
@@ -248,6 +255,45 @@ def point_digest(
         from ..workloads.grammar import GRAMMAR_VERSION
 
         doc["grammar"] = GRAMMAR_VERSION
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@cache
+def source_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` sources.
+
+    Covers each file's package-relative path and bytes, in path order,
+    so any edit, addition or removal of a source file changes it.
+    Computed once per process, from the files this package was imported
+    from.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def profile_digest(kind: str, name: str, scale: int) -> str:
+    """Content address of one kernel's static page record.
+
+    Keys a row of the result store's ``profiles`` table: the record
+    kind (the page it feeds), the kernel name (a ``gen:<family>:<seed>``
+    name carries its seed), the scale, the interpreter's major.minor
+    version and :func:`source_digest`. Any edit to the package's
+    sources therefore misses, and the record is recomputed.
+    """
+    doc = {
+        "kind": kind,
+        "name": name,
+        "scale": scale,
+        "python": PYTHON_VERSION,
+        "sources": source_digest(),
+    }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -487,6 +487,9 @@ def _report_command(session: Session, preset, args) -> int:
         f"points: {stats['store_hits'] + stats['disk_hits']} from the "
         f"store, {stats['evaluated']} simulated"
     )
+    # A warm rebuild also reads every static page record from the
+    # store, so it builds no kernel.
+    print(f"kernels: {stats['kernels_built']} built")
     store = session.store()
     if store is not None:
         print(f"store: {len(store)} results in {store.path or args.store}")

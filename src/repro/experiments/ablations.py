@@ -94,7 +94,11 @@ def run_partition_ablation(
     window: int = 32,
     memory_differential: int = 60,
 ) -> list[PartitionPoint]:
-    """DM cycles under each partitioning strategy."""
+    """DM cycles under each partitioning strategy.
+
+    AU/DU counts come from each result's per-unit statistics, so a
+    store-served sweep compiles nothing.
+    """
     sweep = partition_sweep(
         program,
         window,
@@ -104,16 +108,13 @@ def run_partition_ablation(
     )
     points = []
     for point, result in session.run(sweep):
-        counts = session.compiled(
-            program, "dm", partition=point.partition
-        ).unit_counts()
         points.append(
             PartitionPoint(
                 program=program,
                 strategy=point.partition,
                 cycles=result.cycles,
-                au_instructions=counts[Unit.AU],
-                du_instructions=counts[Unit.DU],
+                au_instructions=result.unit_stats[Unit.AU].instructions,
+                du_instructions=result.unit_stats[Unit.DU].instructions,
             )
         )
     return points

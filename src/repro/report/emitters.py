@@ -300,17 +300,17 @@ def emit_ablation(session: Session, study: str, program: str) -> Artifact:
 
 
 def emit_kernels(session: Session) -> Artifact:
-    """The workload-model inventory (static analysis, no simulation)."""
-    rows = []
-    for name in list_kernels():
-        spec = get_kernel(name)
-        program = session.program(name)
-        report = analyze_decoupling(program)
-        rows.append((
-            name, len(program), f"{program.stats.memory_fraction:.2f}",
-            f"{report.au_fraction:.2f}", report.self_loads,
-            report.lod_events, spec.resolved_band,
+    """The workload-model inventory (static analysis, no simulation).
+
+    Each row is a :meth:`~repro.api.Session.static_record`, so a warm
+    store serves the page without building a kernel.
+    """
+    rows = [
+        tuple(session.static_record(
+            "kernels", name, lambda name=name: _kernel_row(session, name)
         ))
+        for name in list_kernels()
+    ]
     return Artifact(
         slug="kernels",
         title="Workload models",
@@ -333,25 +333,23 @@ def emit_kernels(session: Session) -> Artifact:
 def emit_generate(
     session: Session, family: str = "all", seed: int = 0, count: int = 1
 ) -> Artifact:
-    """Sampled kernels from the loop-nest grammar with static profiles."""
+    """Sampled kernels from the loop-nest grammar with static profiles.
+
+    Rows are :meth:`~repro.api.Session.static_record` values, like the
+    kernels page's.
+    """
     families = FAMILIES if family == "all" else (family,)
-    rows = []
-    for sampled_family in families:
-        for offset in range(max(1, count)):
-            sampled_seed = seed + offset
-            program = build_generated(
-                sampled_family, sampled_seed, session.scale
-            )
-            profile = characterize(program)
-            rows.append((
-                generated_name(sampled_family, sampled_seed), len(program),
-                f"{profile.memory_fraction:.2f}",
-                f"{profile.fp_fraction:.2f}",
-                f"{profile.lod_rate:.2f}",
-                f"{profile.self_load_rate:.2f}",
-                f"{profile.load_chain_fraction:.3f}",
-                profile.predicted_band,
-            ))
+    rows = [
+        tuple(session.static_record(
+            "generated",
+            generated_name(sampled_family, sampled_seed),
+            lambda f=sampled_family, s=sampled_seed: _generated_row(
+                session, f, s
+            ),
+        ))
+        for sampled_family in families
+        for sampled_seed in range(seed, seed + max(1, count))
+    ]
     return Artifact(
         slug="generated",
         title="Generated kernels",
@@ -368,6 +366,35 @@ def emit_generate(
                       "profile)",
             ),
         ),
+    )
+
+
+def _kernel_row(session: Session, name: str) -> tuple:
+    """The kernels page's row for one registry kernel."""
+    spec = get_kernel(name)
+    program = session.program(name)
+    report = analyze_decoupling(program)
+    return (
+        name, len(program), f"{program.stats.memory_fraction:.2f}",
+        f"{report.au_fraction:.2f}", report.self_loads,
+        report.lod_events, spec.resolved_band,
+    )
+
+
+def _generated_row(session: Session, family: str, seed: int) -> tuple:
+    """The generated-kernels page's row for one grammar sample."""
+    program = build_generated(family, seed, session.scale)
+    # A build the session's program memo does not see; count it there.
+    session.stats["kernels_built"] += 1
+    profile = characterize(program)
+    return (
+        generated_name(family, seed), len(program),
+        f"{profile.memory_fraction:.2f}",
+        f"{profile.fp_fraction:.2f}",
+        f"{profile.lod_rate:.2f}",
+        f"{profile.self_load_rate:.2f}",
+        f"{profile.load_chain_fraction:.3f}",
+        profile.predicted_band,
     )
 
 

@@ -19,6 +19,20 @@ spec), the session context (scale, latency model), the measured result
 and the grammar version for generated ``gen:<family>:<seed>``
 programs). A schema-version mismatch on open raises
 :class:`~repro.errors.StoreError` loudly rather than guessing.
+
+A second table, ``profiles``, holds static page records: for one
+kernel, the exact fields the report's kernels or generated-kernels page
+prints, as one JSON value. Its key is
+:func:`repro.api.spec.profile_digest` over the record kind, the kernel
+name, the scale, the interpreter's major.minor version and a digest of
+the ``repro`` package's sources, so any code edit misses and the next
+report recomputes each record once. A warm ``repro report`` thus reads
+those pages without building a kernel. The table is additive: opening
+a v3 store that lacks it creates it, and :data:`SCHEMA_VERSION` stays
+3, because a reader that ignores the table still reads every result
+correctly. Profile rows are not results: ``len``, :meth:`ResultStore.keys`,
+:meth:`ResultStore.rows` and :meth:`ResultStore.track` groups never see
+them. An undecodable record is a miss that the next write replaces.
 """
 
 from __future__ import annotations
@@ -76,6 +90,15 @@ CREATE TABLE IF NOT EXISTS results (
     grammar_version     INTEGER,
     telemetry           TEXT,
     payload             BLOB
+)
+"""
+
+#: Static page records, keyed by :func:`repro.api.spec.profile_digest`.
+#: Additive to schema v3: created on open when absent.
+_CREATE_PROFILES = """
+CREATE TABLE IF NOT EXISTS profiles (
+    key     TEXT PRIMARY KEY,
+    record  TEXT NOT NULL
 )
 """
 
@@ -192,13 +215,14 @@ class ResultStore:
                     )
                 self._con.execute(_CREATE)
                 self._con.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-                self._con.commit()
             elif version != SCHEMA_VERSION:
                 raise StoreError(
                     f"result store {label} has schema v{version}; this "
                     f"build reads v{SCHEMA_VERSION} — regenerate the store "
                     f"or use a matching repro version"
                 )
+            self._con.execute(_CREATE_PROFILES)
+            self._con.commit()
         except sqlite3.Error as error:
             raise StoreError(f"cannot read result store {label}: {error}")
 
@@ -290,6 +314,18 @@ class ResultStore:
             group.add(key)
         return key
 
+    def record_profile(self, key: str, record) -> None:
+        """Write one static page record (any JSON value) under ``key``.
+
+        Replaces whatever the key held, so an undecodable record heals
+        on its next write.
+        """
+        self._con.execute(
+            "INSERT OR REPLACE INTO profiles (key, record) VALUES (?, ?)",
+            (key, json.dumps(record, separators=(",", ":"))),
+        )
+        self._con.commit()
+
     # -- group tracking (report manifests) ---------------------------------------
 
     def track(self) -> "_KeyGroup":
@@ -378,6 +414,21 @@ class ResultStore:
             except Exception:
                 pass  # telemetry is advisory; the result stands alone
         return result
+
+    def load_profile(self, key: str):
+        """The static page record stored under ``key``, or ``None``.
+
+        An absent key and an undecodable record are both misses.
+        """
+        try:
+            row = self._con.execute(
+                "SELECT record FROM profiles WHERE key = ?", (key,)
+            ).fetchone()
+            return None if row is None else json.loads(row[0])
+        except (sqlite3.OperationalError, TypeError, ValueError):
+            # Text that is not UTF-8 fails in the fetch, bad JSON in
+            # the decode: either way a miss that record_profile heals.
+            return None
 
     def get(self, key: str) -> StoredResult | None:
         row = self._con.execute(

@@ -199,11 +199,13 @@ class TestReportCommands:
         assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
         cold = capsys.readouterr().out
         assert "points: 0 from the store, " in cold
+        assert "kernels: 0 built" not in cold
         assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
         warm = capsys.readouterr().out
         served = int(warm.split("points: ")[1].split(" from the store")[0])
         assert served > 0
         assert f"points: {served} from the store, 0 simulated" in warm
+        assert "\nkernels: 0 built\n" in warm
 
     def test_report_scale_flag_after_subcommand(self, capsys, tmp_path):
         out = tmp_path / "site"

@@ -19,6 +19,8 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.scales import PRESETS, active_preset
+from repro.partition import Unit
+from repro.partition.strategies import PARTITION_STRATEGIES
 from repro.errors import ConfigError
 
 
@@ -97,6 +99,32 @@ class TestAblations:
                   run_partition_ablation(tiny_lab, "trfd", window=16)}
         # The slice partition must beat the degenerate memory-only one.
         assert points["slice"].cycles < points["memory-only"].cycles
+
+    def test_partition_counts_match_compiled_programs(self, tmp_path):
+        # AU/DU counts come from each result's unit statistics; they
+        # must equal the compiled program's, whether the point was
+        # simulated now or served from the store.
+        from repro import Session
+
+        path = tmp_path / "results.sqlite"
+        for served in (False, True):
+            session = Session(scale=2_000)
+            session.store(path)
+            points = run_partition_ablation(session, "trfd", window=16)
+            stats = session.stats
+            assert (stats["evaluated"], stats["store_hits"]) == (
+                (0, 3) if served else (3, 0)
+            )
+            assert [p.strategy for p in points] == list(
+                PARTITION_STRATEGIES
+            )
+            for point in points:
+                counts = session.compiled(
+                    "trfd", "dm", partition=point.strategy
+                ).unit_counts()
+                assert (point.au_instructions, point.du_instructions) == (
+                    counts[Unit.AU], counts[Unit.DU]
+                )
 
     def test_bypass_improves_reuse_heavy_program(self, tiny_lab):
         points = run_bypass_ablation(

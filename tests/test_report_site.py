@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import filecmp
 import json
 from pathlib import Path
 
@@ -150,11 +151,155 @@ class TestSite:
                 f"{name} differs between warm-cache report runs"
             )
 
+    def test_warm_rebuild_builds_and_compiles_nothing(
+        self, tiny_report_site, tmp_path, monkeypatch
+    ):
+        """A fresh session on the cold build's store reads every static
+        page record from it: no kernel is built, no program compiled,
+        and the two site trees are byte-identical."""
+        from repro import build_report, generate_corpus
+        from repro.api import session as session_module
+        from repro.report import emitters
+
+        cold_out, _, cold = tiny_report_site
+        preset = PRESETS["tiny"]
+        corpus = generate_corpus(4, seed=0, scale=preset.scale)
+        calls = []
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"warm rebuild called {name}")
+            return call
+
+        monkeypatch.setattr(Session, "compiled", forbidden("compiled"))
+        monkeypatch.setattr(
+            session_module, "build_kernel", forbidden("build_kernel")
+        )
+        for name in ("build_generated", "characterize",
+                     "analyze_decoupling"):
+            monkeypatch.setattr(emitters, name, forbidden(name))
+        warm = Session(scale=preset.scale)
+        warm.store(cold.store().path)
+        warm_out = tmp_path / "warm"
+        build_report(
+            warm, preset, warm_out, corpus=corpus,
+            bench_path=Path(__file__).resolve().parent.parent
+            / "BENCH_engine.json",
+        )
+        assert calls == []
+        assert warm.stats["kernels_built"] == 0
+        assert warm.stats["evaluated"] == 0
+        names = sorted(p.name for p in cold_out.iterdir())
+        assert names == sorted(p.name for p in warm_out.iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(
+            cold_out, warm_out, names, shallow=False
+        )
+        assert (mismatch, errors) == ([], [])
+        assert match == names
+
     def test_manifest_json_parses(self, tiny_report_site):
         out, manifest, _ = tiny_report_site
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk == manifest
         assert on_disk["scale"]["name"] == "tiny"
+
+
+class TestStaticRecords:
+    """The kernels and generated pages read through the profiles table."""
+
+    SCALE = PRESETS["tiny"].scale
+
+    @staticmethod
+    def _emit(session) -> str:
+        from repro.report import emit_generate, emit_kernels
+
+        return (
+            render_text(emit_kernels(session))
+            + render_text(emit_generate(session))
+        )
+
+    @staticmethod
+    def _names(kind: str) -> list[str]:
+        from repro.kernels import list_kernels
+        from repro.workloads import FAMILIES, generated_name
+
+        if kind == "kernels":
+            return list(list_kernels())
+        return [generated_name(family, 0) for family in FAMILIES]
+
+    @pytest.mark.parametrize("edit", ["sources", "python"])
+    def test_key_change_misses_and_rewrites_every_row(
+        self, tmp_path, monkeypatch, edit
+    ):
+        from repro.api import spec
+
+        path = tmp_path / "results.sqlite"
+        cold = Session(scale=self.SCALE)
+        cold.store(path)
+        text = self._emit(cold)
+        built = cold.stats["kernels_built"]
+        assert built == len(self._names("kernels")) + len(
+            self._names("generated")
+        )
+        warm = Session(scale=self.SCALE)
+        warm.store(path)
+        assert self._emit(warm) == text
+        assert warm.stats["kernels_built"] == 0
+
+        if edit == "sources":
+            monkeypatch.setattr(spec, "source_digest", lambda: "0" * 64)
+        else:
+            monkeypatch.setattr(spec, "PYTHON_VERSION", "2.7")
+        edited = Session(scale=self.SCALE)
+        store = edited.store(path)
+        keys = {
+            kind: [spec.profile_digest(kind, name, self.SCALE)
+                   for name in self._names(kind)]
+            for kind in ("kernels", "generated")
+        }
+        every = [key for group in keys.values() for key in group]
+        assert all(store.load_profile(key) is None for key in every)
+        assert self._emit(edited) == text
+        assert edited.stats["kernels_built"] == built
+        assert all(store.load_profile(key) is not None for key in every)
+        again = Session(scale=self.SCALE)
+        again.store(path)
+        assert self._emit(again) == text
+        assert again.stats["kernels_built"] == 0
+
+    def test_registered_program_never_touches_the_profiles_table(
+        self, tmp_path, monkeypatch
+    ):
+        from tests.conftest import build_daxpy
+
+        from repro.api.spec import profile_digest
+        from repro.report import ResultStore, emit_kernels
+
+        touched = []
+        for method in ("load_profile", "record_profile"):
+            original = getattr(ResultStore, method)
+
+            def spy(self, key, *args, _original=original):
+                touched.append(key)
+                return _original(self, key, *args)
+
+            monkeypatch.setattr(ResultStore, method, spy)
+        session = Session(scale=self.SCALE)
+        store = session.store(tmp_path / "results.sqlite")
+        custom = build_daxpy(name="flo52q")
+        session.register_program(custom)
+        table = emit_kernels(session).blocks[0]
+        row = next(row for row in table.rows if row[0] == "flo52q")
+        assert row[1] == len(custom)
+        key = profile_digest("kernels", "flo52q", self.SCALE)
+        assert key not in touched
+        assert store.load_profile(key) is None
+        others = [
+            profile_digest("kernels", name, self.SCALE)
+            for name in self._names("kernels") if name != "flo52q"
+        ]
+        assert set(others) <= set(touched)
 
 
 class TestEmptySite:

@@ -316,6 +316,93 @@ class TestPayloads:
         assert store.get(key) is not None  # typed row still readable
 
 
+class TestProfilesTable:
+    """The additive ``profiles`` table of static page records."""
+
+    @pytest.fixture()
+    def v3_path(self, tmp_path):
+        """A v3 store as written before the profiles table existed."""
+        from repro.report import store as store_module
+
+        path = tmp_path / "results.sqlite"
+        con = sqlite3.connect(path)
+        con.execute(store_module._CREATE)
+        con.execute("PRAGMA user_version = 3")
+        con.commit()
+        con.close()
+        return path
+
+    @staticmethod
+    def _tables(path) -> set[str]:
+        con = sqlite3.connect(path)
+        names = {row[0] for row in con.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )}
+        version = con.execute("PRAGMA user_version").fetchone()[0]
+        con.close()
+        return names, version
+
+    def test_v3_store_opens_and_gains_profiles(self, v3_path):
+        assert self._tables(v3_path) == ({"results"}, 3)
+        ResultStore(v3_path).close()
+        assert self._tables(v3_path) == ({"results", "profiles"}, 3)
+        assert SCHEMA_VERSION == 3
+
+    def test_results_views_ignore_profile_rows(self, v3_path):
+        session = Session(scale=SCALE)
+        store = session.store(v3_path)
+        with store.track() as group:
+            session.evaluate(Point(program="trfd", window=8))
+            store.record_profile("p" * 64, ["trfd", 1, "0.50"])
+        assert store.load_profile("p" * 64) == ["trfd", 1, "0.50"]
+        (key,) = store.keys()
+        assert len(store) == 1
+        assert [row.key for row in store.rows()] == [key]
+        assert group.sorted() == [key]
+        assert store.summary()["results"] == 1
+        store.close()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["'{not json'", "CAST(x'fffe' AS TEXT)", "x'fffe'"],
+        ids=["bad-json", "bad-utf8-text", "bad-utf8-blob"],
+    )
+    def test_undecodable_record_is_a_miss_the_next_write_replaces(
+        self, v3_path, corrupt
+    ):
+        from repro.api.spec import profile_digest
+
+        session = Session(scale=SCALE)
+        store = session.store(v3_path)
+        computed = []
+
+        def compute():
+            computed.append(1)
+            return ("trfd", 7, "0.25")
+
+        assert session.static_record("kernels", "trfd", compute) == [
+            "trfd", 7, "0.25",
+        ]
+        key = profile_digest("kernels", "trfd", SCALE)
+        assert store.load_profile(key) == ["trfd", 7, "0.25"]
+        store._con.execute(
+            f"UPDATE profiles SET record = {corrupt} WHERE key = ?", (key,)
+        )
+        store._con.commit()
+        assert store.load_profile(key) is None
+        healed = Session(scale=SCALE)
+        healed.store(store)
+        assert healed.static_record("kernels", "trfd", compute) == [
+            "trfd", 7, "0.25",
+        ]
+        assert len(computed) == 2
+        assert store.load_profile(key) == ["trfd", 7, "0.25"]
+        assert store._con.execute(
+            "SELECT COUNT(*) FROM profiles"
+        ).fetchone()[0] == 1
+        store.close()
+
+
 class TestRowSpelling:
     def test_key_and_spec_columns_match_asdict(self):
         """Row JSON and keys are spelled as ``dataclasses.asdict`` would."""
