@@ -31,10 +31,9 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import as_completed
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -138,7 +137,6 @@ class Session:
         require_scale(self.scale)
         self._programs: dict[tuple[str, float], Program] = {}
         self._custom: dict[str, Program] = {}
-        self._prebuilt: Mapping[str, Program] = {}
         self._compiled: dict[tuple[str, float, str, str], object] = {}
         self._profiles: dict[str, object] = {}
         # Static page records by (kind, name); per store, like _store_keys.
@@ -235,22 +233,6 @@ class Session:
         self._programs.pop((program.name, 0.0), None)
         self._profiles.pop(program.name, None)
 
-    @contextmanager
-    def _using_prebuilt(self, programs: Mapping[str, Program]):
-        """Inside the block, take registry kernels from ``programs``
-        instead of building them.
-
-        For :func:`~repro.workloads.generate_corpus` output built at
-        this session's scale, so a study over the corpus builds each
-        kernel once; programs the block does not use are not kept.
-        Nothing checks a program against its name, hence private.
-        """
-        self._prebuilt = programs
-        try:
-            yield
-        finally:
-            self._prebuilt = {}
-
     def _program_for(self, name: str, expansion: float) -> Program:
         key = (name, expansion)
         if key not in self._programs:
@@ -260,11 +242,8 @@ class Session:
             elif name in self._custom:
                 self._programs[key] = self._custom[name]
             else:
-                program = self._prebuilt.get(name)
-                if program is None:
-                    program = build_kernel(name, self.scale)
-                    self.stats["kernels_built"] += 1
-                self._programs[key] = program
+                self._programs[key] = build_kernel(name, self.scale)
+                self.stats["kernels_built"] += 1
         return self._programs[key]
 
     def profile(self, name: str):
@@ -285,7 +264,8 @@ class Session:
         back as a list). The record is taken from this session's memory,
         else from the store's ``profiles`` table under
         :func:`~repro.api.spec.profile_digest` (kind, name, scale,
-        Python version, source digest), else computed and written there.
+        Python version, source digest), else computed and written there
+        (a write that drops the rows of every other source digest).
         Computed records pass through JSON too, so a cold and a warm
         session return equal values. Custom programs skip both memos:
         the key does not cover their content.

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from ..api.presets import generalization_sweep
 from ..api.session import Session
 from ..config import DEFAULT_MEMORY_DIFFERENTIAL
-from ..ir import Program
 from ..kernels import get_kernel
 from ..metrics import classify_band, lhe
 from ..workloads import Corpus, parse_generated_name
@@ -152,12 +151,16 @@ class GeneralizationResult:
 
 
 def _study_entries(
+    session: Session,
     corpus: Corpus | tuple[str, ...] | list[str],
 ) -> list[tuple[str, str, str]]:
     """Normalise the input to (name, family, predicted band) triples."""
     if isinstance(corpus, Corpus):
+        same_scale = corpus.scale == session.scale
         return [
-            (entry.name, entry.family, entry.predicted_band)
+            (entry.name, entry.family,
+             _session_band(session, entry.name)
+             if same_scale and entry.pending else entry.predicted_band)
             for entry in corpus.entries
         ]
     entries = []
@@ -169,6 +172,14 @@ def _study_entries(
         family = parsed[0] if parsed else "named"
         entries.append((name, family, get_kernel(name).resolved_band))
     return entries
+
+
+def _session_band(session: Session, name: str) -> str:
+    """A kernel's predicted band at the session's scale, as a static
+    record: a warm store serves it without building the kernel."""
+    return session.static_record(
+        "band", name, lambda: session.profile(name).predicted_band
+    )
 
 
 def run_generalization_study(
@@ -186,15 +197,14 @@ def run_generalization_study(
     study cross-checks itself against Table 1.
 
     A corpus fresh from :func:`~repro.workloads.generate_corpus` at the
-    session's scale hands its built programs over: the session keeps
-    those it needs instead of building them again, and
-    ``corpus.programs`` is left empty.
+    session's scale is never resolved: each kernel's predicted band is
+    the session's own profile, read through
+    :meth:`~repro.api.Session.static_record`, so a cold study builds
+    each kernel once (in the session) and a warm one builds none. A
+    loaded manifest keeps its recorded bands, and a corpus generated
+    at another scale resolves its entries.
     """
-    prebuilt: dict[str, Program] = {}
-    if isinstance(corpus, Corpus) and corpus.scale == session.scale:
-        prebuilt = dict(corpus.programs)
-        corpus.programs.clear()
-    entries = _study_entries(corpus)
+    entries = _study_entries(session, corpus)
     names = tuple(name for name, _, _ in entries)
     sweep = generalization_sweep(
         names,
@@ -204,11 +214,10 @@ def run_generalization_study(
         du_width=session.du_width,
         swsm_width=session.swsm_width,
     )
-    with session._using_prebuilt(prebuilt):
-        cycles = {
-            (p.program, p.machine, p.window, p.memory_differential): r.cycles
-            for p, r in session.run(sweep)
-        }
+    cycles = {
+        (p.program, p.machine, p.window, p.memory_differential): r.cycles
+        for p, r in session.run(sweep)
+    }
     rows = []
     for name, family, predicted in entries:
         rows.append(

@@ -20,19 +20,23 @@ and the grammar version for generated ``gen:<family>:<seed>``
 programs). A schema-version mismatch on open raises
 :class:`~repro.errors.StoreError` loudly rather than guessing.
 
-A second table, ``profiles``, holds static page records: for one
-kernel, the exact fields the report's kernels or generated-kernels page
-prints, as one JSON value. Its key is
+A second table, ``profiles``, holds static records, one JSON value per
+kernel and record kind: a ``kernels`` or ``generated`` row is the exact
+fields that report page prints, a ``band`` row is a generated kernel's
+predicted band for the generalization study. Its key is
 :func:`repro.api.spec.profile_digest` over the record kind, the kernel
 name, the scale, the interpreter's major.minor version and a digest of
 the ``repro`` package's sources, so any code edit misses and the next
-report recomputes each record once. A warm ``repro report`` thus reads
-those pages without building a kernel. The table is additive: opening
-a v3 store that lacks it creates it, and :data:`SCHEMA_VERSION` stays
-3, because a reader that ignores the table still reads every result
-correctly. Profile rows are not results: ``len``, :meth:`ResultStore.keys`,
-:meth:`ResultStore.rows` and :meth:`ResultStore.track` groups never see
-them. An undecodable record is a miss that the next write replaces.
+report recomputes each record once. A warm ``repro report`` thus builds
+no kernel. The ``source`` column names the build (Python version and
+source digest) that wrote a row; a build's first write deletes every
+other build's rows. The table is additive: opening a v3 store that
+lacks it creates it, a first write adds ``source`` to an older one, and
+:data:`SCHEMA_VERSION` stays 3, because a reader that ignores the table
+still reads every result correctly. Profile rows are not results:
+``len``, :meth:`ResultStore.keys`, :meth:`ResultStore.rows` and
+:meth:`ResultStore.track` groups never see them. An undecodable record
+is a miss that the next write replaces.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ CREATE TABLE IF NOT EXISTS results (
 _CREATE_PROFILES = """
 CREATE TABLE IF NOT EXISTS profiles (
     key     TEXT PRIMARY KEY,
-    record  TEXT NOT NULL
+    record  TEXT NOT NULL,
+    source  TEXT
 )
 """
 
@@ -225,6 +230,8 @@ class ResultStore:
             self._con.commit()
         except sqlite3.Error as error:
             raise StoreError(f"cannot read result store {label}: {error}")
+        # The build this connection last pruned the profiles table to.
+        self._profile_source: str | None = None
 
     # -- writing -----------------------------------------------------------------
 
@@ -318,11 +325,29 @@ class ResultStore:
         """Write one static page record (any JSON value) under ``key``.
 
         Replaces whatever the key held, so an undecodable record heals
-        on its next write.
+        on its next write. The first write of a build on this
+        connection deletes the rows of every other build, whose keys no
+        current build asks for.
         """
+        from ..api import spec
+
+        source = f"{spec.PYTHON_VERSION}:{spec.source_digest()}"
+        if source != self._profile_source:
+            # A table made before the source column gains it here, not
+            # on open: opening never writes to an existing store.
+            columns = self._con.execute("PRAGMA table_info(profiles)")
+            if "source" not in {row[1] for row in columns}:
+                self._con.execute(
+                    "ALTER TABLE profiles ADD COLUMN source TEXT"
+                )
+            self._con.execute(
+                "DELETE FROM profiles WHERE source IS NOT ?", (source,)
+            )
+            self._profile_source = source
         self._con.execute(
-            "INSERT OR REPLACE INTO profiles (key, record) VALUES (?, ?)",
-            (key, json.dumps(record, separators=(",", ":"))),
+            "INSERT OR REPLACE INTO profiles (key, record, source) "
+            "VALUES (?, ?, ?)",
+            (key, json.dumps(record, separators=(",", ":")), source),
         )
         self._con.commit()
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..config import require_scale
 from ..errors import KernelError
-from ..ir import Program
 from ..kernels.base import KernelSpec, get_kernel
 from .characterize import characterize
 from .grammar import (
@@ -59,6 +58,11 @@ class CorpusEntry:
     ``digest`` and ``instructions`` describe the program built at the
     *corpus* scale; the remaining fields are the static profile summary
     recorded for tables and band-prediction bookkeeping.
+
+    An entry made by :func:`generate_corpus` is *pending*: only
+    ``name``, ``family`` and ``seed`` are set, and the first read of
+    any other field builds and characterizes the kernel once, at the
+    corpus scale, and fills them all in.
     """
 
     name: str
@@ -69,6 +73,36 @@ class CorpusEntry:
     predicted_band: str
     lod_rate: float
     memory_fraction: float
+
+    @classmethod
+    def _pending(cls, family: str, seed: int, scale: int) -> "CorpusEntry":
+        entry = object.__new__(cls)
+        entry.__dict__.update(
+            name=generated_name(family, seed), family=family, seed=seed,
+            _scale=scale,
+        )
+        return entry
+
+    @property
+    def pending(self) -> bool:
+        """True until a pending entry's built fields are first read."""
+        return "digest" not in self.__dict__
+
+    def __getattr__(self, attr: str):
+        # Normal lookup failed: only a pending entry's built fields
+        # (never set yet) get here.
+        if attr not in self.__dataclass_fields__:
+            raise AttributeError(attr)
+        program = build_generated(self.family, self.seed, self._scale)
+        profile = characterize(program)
+        self.__dict__.update(
+            digest=program.digest(),
+            instructions=len(program),
+            predicted_band=profile.predicted_band,
+            lod_rate=round(profile.lod_rate, 4),
+            memory_fraction=round(profile.memory_fraction, 4),
+        )
+        return self.__dict__[attr]
 
     def to_dict(self) -> dict:
         return {
@@ -100,13 +134,6 @@ class Corpus:
     entries: tuple[CorpusEntry, ...]
     version: int = MANIFEST_VERSION
     grammar: int = GRAMMAR_VERSION
-    #: The built programs, by name, of a corpus made by
-    #: :func:`generate_corpus` (at ``scale``), until a generalization
-    #: study hands them to its session; empty for a loaded manifest.
-    #: Never serialised.
-    programs: dict[str, Program] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "families", tuple(self.families))
@@ -192,7 +219,11 @@ def generate_corpus(
 
     Families are assigned round-robin so coverage stays even at any
     size; per-kernel grammar seeds are drawn from a corpus-level RNG
-    (collisions rejected, so every kernel is distinct).
+    (collisions rejected, so every kernel is distinct). Only that draw
+    happens here: the entries are pending, and each kernel is built at
+    most once, when one of its built fields is first read (by
+    ``to_dict``, :func:`write_manifest`, :func:`verify_corpus` or
+    ``==``). ``names``, ``len`` and ``families`` build nothing.
     """
     require_scale(scale)
     if size < 1:
@@ -204,7 +235,6 @@ def generate_corpus(
     rng = random.Random(f"repro:corpus:{seed}")
     seen: set[tuple[str, int]] = set()
     entries = []
-    programs: dict[str, Program] = {}
     for index in range(size):
         family = families[index % len(families)]
         while True:
@@ -212,22 +242,7 @@ def generate_corpus(
             if (family, kernel_seed) not in seen:
                 seen.add((family, kernel_seed))
                 break
-        program = build_generated(family, kernel_seed, scale)
-        profile = characterize(program)
-        kernel_name = generated_name(family, kernel_seed)
-        programs[kernel_name] = program
-        entries.append(
-            CorpusEntry(
-                name=kernel_name,
-                family=family,
-                seed=kernel_seed,
-                digest=program.digest(),
-                instructions=len(program),
-                predicted_band=profile.predicted_band,
-                lod_rate=round(profile.lod_rate, 4),
-                memory_fraction=round(profile.memory_fraction, 4),
-            )
-        )
+        entries.append(CorpusEntry._pending(family, kernel_seed, scale))
     if seed == 0 and tuple(families) == FAMILIES:
         default_name = f"default-{size}"
     else:
@@ -242,7 +257,6 @@ def generate_corpus(
         scale=scale,
         families=tuple(families),
         entries=tuple(entries),
-        programs=programs,
     )
 
 

@@ -5,11 +5,14 @@ and :class:`~repro.ir.Instruction` objects are views made on first
 index or iteration. These tests pin that the two construction paths
 agree on every column and every derived face, that a built program
 never aliases its builder, that the shipped compile path never makes
-the views, and that a generated corpus hands its programs to the
-session instead of having them built twice.
+the views, and that a generated corpus builds nothing until its entries
+are read, so a study over it builds each kernel once, in the session.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import pytest
 
@@ -23,6 +26,8 @@ from repro.ir.program import TraceColumns
 from repro.kernels import build_kernel, list_kernels
 from repro.workloads import (
     FAMILIES,
+    Corpus,
+    CorpusEntry,
     build_generated,
     characterize,
     generate_corpus,
@@ -146,6 +151,8 @@ def test_digest_follows_a_renamed_program():
 
 
 class TestCorpusHandOff:
+    """A study over a fresh corpus builds through the session only."""
+
     SIZE = 6
 
     def test_study_builds_each_generated_kernel_once(self, monkeypatch):
@@ -165,45 +172,135 @@ class TestCorpusHandOff:
         result = run_generalization_study(session, corpus)
         assert result.kernels == self.SIZE
         assert sorted(builds) == sorted(corpus.names)
+        assert session.stats["kernels_built"] == self.SIZE
 
     def test_adopted_programs_match_a_fresh_build(self):
         corpus = generate_corpus(self.SIZE, seed=3, scale=TINY)
-        built = dict(corpus.programs)
         session = Session(scale=TINY)
         run_generalization_study(session, corpus)
-        assert corpus.programs == {}  # handed over, not shared
-        for name in corpus.names:
-            adopted = session.program(name)
-            assert adopted is built[name]
-            assert adopted.digest() == build_kernel(name, TINY).digest()
+        assert all(entry.pending for entry in corpus.entries)
+        for entry in corpus.entries:
+            digest = session.program(entry.name).digest()
+            assert digest == build_kernel(entry.name, TINY).digest()
+            assert digest == entry.digest
 
     def test_programs_the_session_holds_win(self):
         corpus = generate_corpus(2, seed=3, scale=TINY)
-        built = dict(corpus.programs)
         session = Session(scale=TINY)
         session.run(generalization_sweep(
             corpus.names, 32, DEFAULT_MEMORY_DIFFERENTIAL,
         ))
-        # Everything the study needs is already simulated: the session
-        # has built its own programs and takes none of the corpus's.
+        held = {name: session.program(name) for name in corpus.names}
+        built = session.stats["kernels_built"]
+        # Everything the study needs is already simulated: its bands
+        # come from the programs the session holds, and nothing more
+        # is built.
         run_generalization_study(session, corpus)
+        assert session.stats["kernels_built"] == built
         for name in corpus.names:
-            assert session.program(name) is not built[name]
-        assert session._prebuilt == {}
+            assert session.program(name) is held[name]
 
     def test_other_scale_builds_its_own(self):
         corpus = generate_corpus(2, seed=3, scale=TINY)
         session = Session(scale=2 * TINY)
         run_generalization_study(session, corpus)
-        for name in corpus.names:
-            assert session.program(name) is not corpus.programs[name]
-            assert len(session.program(name)) > len(corpus.programs[name])
+        # The bands come from the corpus-scale entries, resolved.
+        assert not any(entry.pending for entry in corpus.entries)
+        for entry in corpus.entries:
+            program = session.program(entry.name)
+            assert program.digest() == build_kernel(
+                entry.name, 2 * TINY
+            ).digest()
+            assert len(program) > entry.instructions
 
     def test_programs_stay_out_of_the_manifest(self, tmp_path):
         corpus = generate_corpus(2, seed=3, scale=TINY)
-        assert set(corpus.programs) == set(corpus.names)
         loaded = load_manifest(write_manifest(corpus, tmp_path / "c.toml"))
         assert loaded == corpus
-        assert loaded.programs == {}
-        assert "programs" not in corpus.to_dict()
-        assert "programs" not in repr(corpus)
+        assert not hasattr(corpus, "programs")
+        assert "_scale" not in repr(corpus.entries[0])
+
+
+def _eager(corpus) -> Corpus:
+    """``corpus`` with every entry built now, the way generation did
+    before entries resolved on demand."""
+    entries = []
+    for entry in corpus.entries:
+        program = build_generated(entry.family, entry.seed, corpus.scale)
+        profile = characterize(program)
+        entries.append(CorpusEntry(
+            name=entry.name,
+            family=entry.family,
+            seed=entry.seed,
+            digest=program.digest(),
+            instructions=len(program),
+            predicted_band=profile.predicted_band,
+            lod_rate=round(profile.lod_rate, 4),
+            memory_fraction=round(profile.memory_fraction, 4),
+        ))
+    return dataclasses.replace(corpus, entries=tuple(entries))
+
+
+class TestLazyCorpus:
+    """generate_corpus draws names only; entries build on first read."""
+
+    def test_generated_equals_its_loaded_manifest(self, tmp_path):
+        for suffix in (".toml", ".json"):
+            corpus = generate_corpus(6, seed=5, scale=TINY)
+            path = write_manifest(corpus, tmp_path / f"c{suffix}")
+            assert generate_corpus(6, seed=5, scale=TINY) == load_manifest(
+                path
+            )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_manifest_is_byte_identical_to_an_eager_build(
+        self, family, tmp_path
+    ):
+        lazy = generate_corpus(3, seed=1, scale=TINY, families=(family,))
+        eager = _eager(generate_corpus(
+            3, seed=1, scale=TINY, families=(family,)
+        ))
+        lazy_path = write_manifest(lazy, tmp_path / "lazy.toml")
+        eager_path = write_manifest(eager, tmp_path / "eager.toml")
+        assert lazy_path.read_bytes() == eager_path.read_bytes()
+        assert json.dumps(lazy.to_dict()) == json.dumps(eager.to_dict())
+
+    def test_study_bands_equal_the_resolved_entries(self):
+        corpus = generate_corpus(len(FAMILIES), seed=2, scale=TINY)
+        result = run_generalization_study(Session(scale=TINY), corpus)
+        assert all(entry.pending for entry in corpus.entries)
+        assert [row.predicted_band for row in result.rows] == [
+            entry.predicted_band for entry in corpus.entries
+        ]
+
+    def test_names_and_len_build_nothing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a corpus kernel was built")
+
+        monkeypatch.setattr("repro.workloads.corpus.build_generated",
+                            forbidden)
+        monkeypatch.setattr("repro.workloads.corpus.characterize",
+                            forbidden)
+        corpus = generate_corpus(8, seed=4, scale=TINY)
+        assert len(corpus) == 8
+        assert len(corpus.names) == len(set(corpus.names)) == 8
+        assert corpus.families == FAMILIES
+        assert all(entry.pending for entry in corpus.entries)
+        with pytest.raises(AssertionError, match="built"):
+            corpus.entries[0].digest
+
+    def test_each_entry_resolves_once(self, monkeypatch):
+        builds: list[str] = []
+
+        def counting(family, seed, scale):
+            builds.append(f"{family}:{seed}")
+            return build_generated(family, seed, scale)
+
+        monkeypatch.setattr("repro.workloads.corpus.build_generated",
+                            counting)
+        corpus = generate_corpus(4, seed=4, scale=TINY)
+        corpus.to_dict()
+        corpus.to_dict()
+        assert corpus == generate_corpus(4, seed=4, scale=TINY)
+        assert len(builds) == 8  # four here, four for the second corpus
+        assert not any(entry.pending for entry in corpus.entries)

@@ -155,15 +155,17 @@ class TestSite:
         self, tiny_report_site, tmp_path, monkeypatch
     ):
         """A fresh session on the cold build's store reads every static
-        page record from it: no kernel is built, no program compiled,
-        and the two site trees are byte-identical."""
+        record from it: no kernel is built, not even the freshly
+        generated corpus's, no program compiled, and the two site trees
+        are byte-identical."""
         from repro import build_report, generate_corpus
         from repro.api import session as session_module
         from repro.report import emitters
 
+        from repro.workloads import corpus as corpus_module
+
         cold_out, _, cold = tiny_report_site
         preset = PRESETS["tiny"]
-        corpus = generate_corpus(4, seed=0, scale=preset.scale)
         calls = []
 
         def forbidden(name):
@@ -179,6 +181,11 @@ class TestSite:
         for name in ("build_generated", "characterize",
                      "analyze_decoupling"):
             monkeypatch.setattr(emitters, name, forbidden(name))
+        for name in ("build_generated", "characterize"):
+            monkeypatch.setattr(corpus_module, name, forbidden(name))
+        # Generated in the forbidden scope: the corpus builds nothing
+        # either, its bands come from the store.
+        corpus = generate_corpus(4, seed=0, scale=preset.scale)
         warm = Session(scale=preset.scale)
         warm.store(cold.store().path)
         warm_out = tmp_path / "warm"
@@ -267,6 +274,25 @@ class TestStaticRecords:
         again.store(path)
         assert self._emit(again) == text
         assert again.stats["kernels_built"] == 0
+
+    def test_a_new_source_prunes_the_old_rows(self, tmp_path, monkeypatch):
+        from repro.api import spec
+
+        path = tmp_path / "results.sqlite"
+        first = Session(scale=self.SCALE)
+        store = first.store(path)
+        self._emit(first)
+        live = len(self._names("kernels")) + len(self._names("generated"))
+        count = "SELECT COUNT(*) FROM profiles"
+        assert store._con.execute(count).fetchone()[0] == live
+        monkeypatch.setattr(spec, "source_digest", lambda: "0" * 64)
+        second = Session(scale=self.SCALE)
+        store = second.store(path)
+        self._emit(second)
+        assert store._con.execute(count).fetchone()[0] == live
+        assert {row[0] for row in store._con.execute(
+            "SELECT DISTINCT source FROM profiles"
+        )} == {f"{spec.PYTHON_VERSION}:{'0' * 64}"}
 
     def test_registered_program_never_touches_the_profiles_table(
         self, tmp_path, monkeypatch

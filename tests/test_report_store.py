@@ -402,6 +402,52 @@ class TestProfilesTable:
         ).fetchone()[0] == 1
         store.close()
 
+    @staticmethod
+    def _profile_columns(path) -> list[str]:
+        con = sqlite3.connect(path)
+        names = [row[1] for row in con.execute("PRAGMA table_info(profiles)")]
+        con.close()
+        return names
+
+    def test_table_without_source_gains_it_on_first_write(self, v3_path):
+        con = sqlite3.connect(v3_path)
+        con.execute(
+            "CREATE TABLE profiles (key TEXT PRIMARY KEY, record TEXT NOT NULL)"
+        )
+        con.execute("INSERT INTO profiles VALUES ('old', '[1]')")
+        con.commit()
+        con.close()
+        store = ResultStore(v3_path)
+        assert self._profile_columns(v3_path) == ["key", "record"]
+        assert store.load_profile("old") == [1]
+        store.record_profile("new", [2])
+        assert self._profile_columns(v3_path) == ["key", "record", "source"]
+        # The row from before the column is another build's: pruned.
+        assert store.load_profile("old") is None
+        assert store.load_profile("new") == [2]
+        store.close()
+
+    @pytest.mark.parametrize("columns", ["key, record", "key, record, source"])
+    def test_open_does_not_wait_for_a_held_write_lock(
+        self, v3_path, monkeypatch, columns
+    ):
+        from repro.report import store as store_module
+
+        con = sqlite3.connect(v3_path)
+        con.execute(f"CREATE TABLE profiles ({columns})")
+        con.commit()
+        con.execute("PRAGMA journal_mode=WAL")
+        con.execute("BEGIN IMMEDIATE")
+        try:
+            # A blocked open would fail after this timeout.
+            monkeypatch.setattr(store_module, "BUSY_TIMEOUT_S", 0.05)
+            store = ResultStore(v3_path)
+            assert store.load_profile("absent") is None
+            store.close()
+        finally:
+            con.rollback()
+            con.close()
+
 
 class TestRowSpelling:
     def test_key_and_spec_columns_match_asdict(self):
