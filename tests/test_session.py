@@ -4,6 +4,7 @@ and the no-shared-state regressions (latency models, process environment)."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import sqlite3
 from collections.abc import MutableMapping
@@ -26,6 +27,7 @@ from repro.machines import (
     simulate,
 )
 from repro.memory import FixedLatencyMemory
+from repro.obs.telemetry import zero_counters
 from repro.workloads import generate_corpus
 
 SCALE = 2_000
@@ -248,6 +250,102 @@ class TestParallelExecutor:
             jobs=2,
         )
         assert all(result.cycles > 0 for _, result in outcome)
+
+
+class TestSweepExecutor:
+    """One mixed sweep through every batch x jobs combination.
+
+    The sweep holds a batchable uniform window axis, a stateful cache
+    point, a probe point, a duplicate, a store-resident serial point and
+    a custom program (a local batch group and a local point under the
+    pool). The cache stats, the telemetry rollup and the store rows are
+    pinned to their recorded values, so any change to how the executor
+    plans, runs or folds a sweep shows here.
+    """
+
+    #: Cache stats per (batch, jobs), without the ``*_seconds`` keys.
+    STATS = {
+        (True, 1): dict(evaluated=8, memory_hits=10, kernels_built=1,
+                        batch_groups=2, batch_points=5),
+        (True, 2): dict(evaluated=8, memory_hits=10, kernels_built=0,
+                        batch_groups=2, batch_points=5),
+        (False, 1): dict(evaluated=8, memory_hits=1, kernels_built=1,
+                         batch_groups=0, batch_points=0),
+        (False, 2): dict(evaluated=8, memory_hits=10, kernels_built=0,
+                         batch_groups=0, batch_points=0),
+    }
+    #: Strategy histogram and nonzero engine counters per batch setting.
+    STRATEGIES = {
+        True: {"batch": 3, "uniform-table": 2, "speculative": 2,
+               "probing": 1},
+        False: {"uniform-table": 5, "speculative": 2, "probing": 1},
+    }
+    COUNTERS = {
+        True: {"steady_skips": 3, "skipped_instructions": 855,
+               "batch_runs": 1, "batch_lanes": 3,
+               "batch_fallback_lanes": 2, "batch_steps": 529},
+        False: {"steady_skips": 3, "skipped_instructions": 855},
+    }
+    #: Store key -> SHA-256 of its payload (12-digit prefixes of both):
+    #: the same rows whatever the batch setting or pool width.
+    ROWS = {
+        "24a3882f9dd9": "d2c8586530ca",
+        "3657fb0b0d48": "3bf69fa08d7e",
+        "3ad54a1d5c66": "03129ed3b5f0",
+        "a7acbd930165": "ef783052afdc",
+        "bb0de08d32a9": "ce19a8c8bb32",
+        "e2dd9208f1c4": "78e513ebc6ed",
+    }
+
+    @staticmethod
+    def _points() -> list[Point]:
+        def dm(program, window, **over):
+            return Point(program=program, machine="dm", window=window,
+                         memory_differential=60, **over)
+
+        return [
+            dm("trfd", 8), dm("trfd", 16), dm("trfd", 32),
+            dm("trfd", 16, memory=MemorySpec(kind="cache")),
+            dm("trfd", 16, probe_esw=True),
+            dm("trfd", 16),
+            Point(program="trfd", machine="serial", window=None,
+                  memory_differential=60),
+            dm("custom", 8), dm("custom", 16),
+            dm("custom", 16, memory=MemorySpec(kind="cache")),
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_mixed_sweep_is_pinned(self, tmp_path, batch, jobs):
+        Session(scale=SCALE, cache_dir=tmp_path).evaluate(
+            Point(program="trfd", machine="serial", window=None,
+                  memory_differential=60)
+        )
+        session = Session(scale=SCALE, cache_dir=tmp_path, batch=batch)
+        session.register_program(
+            build_synthetic_stream(SCALE, name="custom")
+        )
+        session.run(self._points(), jobs=jobs)
+
+        stats = {
+            key: value for key, value in session.stats.items()
+            if not key.endswith("_seconds")
+        }
+        assert stats == {
+            "disk_hits": 1, "disk_misses": 5, "store_hits": 0,
+            **self.STATS[batch, jobs],
+        }
+        telemetry = session.telemetry()
+        assert telemetry["runs"] == 8
+        assert telemetry["strategies"] == self.STRATEGIES[batch]
+        assert telemetry["counters"] == {
+            **zero_counters(), **self.COUNTERS[batch]
+        }
+        rows = {
+            key[:12]: hashlib.sha256(payload).hexdigest()[:12]
+            for key, payload in store_payloads(tmp_path).items()
+        }
+        assert rows == self.ROWS
 
 
 class TestSweepResult:
