@@ -13,10 +13,15 @@ page records of :meth:`Session.static_record`, and adds two things:
   changes the key and forces a fresh run. Compiled programs are cached
   beside it, as files under ``cache_dir/lowered/``. A store attached
   with :meth:`Session.store` takes the place of ``results.sqlite``;
-* a **pluggable executor** (``jobs``): sweeps fan out over a
-  ``concurrent.futures`` process pool, and because every simulation is
-  deterministic and cycle-exact the results are identical to a serial
-  run — only the wall clock changes.
+* **one sweep executor** (``jobs``, ``batch``): :meth:`Session.run`
+  plans a sweep's uncached points into tasks — batch groups of points
+  that share a compiled program, then one-point tasks — and runs every
+  task once, through one local loop or, with ``jobs > 1``, one
+  ``concurrent.futures`` pool map (tasks a worker cannot run stay in
+  the local loop). Every result is folded into the caches the same way
+  wherever it ran, and because every simulation is deterministic and
+  cycle-exact the results are identical to a serial run — only the
+  wall clock changes.
 
 Machines are resolved through :mod:`repro.machines.registry`, so a
 machine registered with :func:`repro.machines.register_machine`
@@ -32,11 +37,10 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import as_completed
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from ..config import LatencyModel, require_scale
 from ..ir import Program
@@ -48,12 +52,14 @@ from ..obs.telemetry import RunTelemetry, add_counters, zero_counters
 from ..obs.trace import SpanTracer, tracer_from_env
 from ..partition import MachineProgram
 from .spec import (
+    PYTHON_VERSION,
     Point,
     Sweep,
     latencies_doc,
     point_batch_key,
     point_digest,
     profile_digest,
+    source_digest,
 )
 
 __all__ = ["Session", "SweepResult"]
@@ -61,9 +67,8 @@ __all__ = ["Session", "SweepResult"]
 #: Distinguishes "no argument" from an explicit None in Session.store().
 _UNSET = object()
 
-#: Version of the on-disk lowering-cache entries (bump on any change to
-#: what compilation derives from a program or to its pickled layout).
-_LOWERING_FORMAT = 3
+#: One planned unit of sweep work: a batch group or one point.
+_Task = Point | tuple[Point, ...]
 
 
 @dataclass(frozen=True)
@@ -302,7 +307,8 @@ class Session:
         program under ``cache_dir/lowered/``: the
         key covers the *content* of the architectural program
         (:meth:`~repro.ir.Program.digest`), the machine family, the
-        partition strategy and the latency model, and the entry stores
+        partition strategy, the latency model, the Python version and
+        the package sources, and the entry stores
         the compiled program — its struct-of-arrays columns — with a
         materialised steady-state analysis, so pool workers stop
         recompiling and re-running the period search for every sweep
@@ -338,17 +344,21 @@ class Session:
         """Content address of one compiled program in the lowering cache.
 
         Keyed by program *content*, so (unlike the result store) even
-        custom registered programs are safely cacheable. ``serial``
-        skips the cache — its "compilation" is the identity.
+        custom registered programs are safely cacheable, and by the
+        Python version and :func:`~repro.api.spec.source_digest`, so an
+        edit to any compiler source misses instead of serving what the
+        old code compiled. ``serial`` skips the cache — its
+        "compilation" is the identity.
         """
         if self.cache_dir is None or machine == "serial":
             return None
         doc = {
-            "format": _LOWERING_FORMAT,
             "program": source.digest(),
             "machine": machine,
             "partition": partition,
             "latencies": latencies_doc(self.latencies),
+            "python": PYTHON_VERSION,
+            "sources": source_digest(),
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -393,11 +403,14 @@ class Session:
 
     # -- windows -----------------------------------------------------------------
 
-    def resolve_window(self, name: str, window: int | None) -> int:
-        """Translate the unlimited-window sentinel into a concrete size."""
+    def resolve_window(
+        self, name: str, window: int | None, expansion: float = 0.0
+    ) -> int:
+        """Translate the unlimited-window sentinel into a concrete size:
+        the length of the program as expanded by ``expansion``."""
         if window is not None:
             return window
-        return max(len(self.program(name)), 1)
+        return max(len(self._program_for(name, expansion)), 1)
 
     # -- point evaluation --------------------------------------------------------
 
@@ -412,8 +425,7 @@ class Session:
             self._record(canonical, cached)
             return cached
         result = self._simulate(canonical)
-        self._store(canonical, result)
-        self.stats["evaluated"] += 1
+        self._fold(canonical, result)
         return result
 
     def _record(self, canonical: Point, result: SimulationResult) -> None:
@@ -497,13 +509,16 @@ class Session:
         self._absorb_telemetry(result)
         self._record(canonical, result)
 
+    def _fold(self, canonical: Point, result: SimulationResult) -> None:
+        """Fold one freshly simulated result in, wherever it ran."""
+        self._store(canonical, result)
+        self.stats["evaluated"] += 1
+
     def _absorb_telemetry(self, result: SimulationResult) -> None:
         """Fold one fresh result's telemetry into the session rollup.
 
-        ``_store`` is the single sink every freshly simulated result
-        passes through — serial evaluations, local batch groups and
-        pool-worker results alike — so aggregating here covers all
-        three execution paths with one code path.
+        Every freshly simulated result passes through ``_store`` once,
+        wherever it ran, so this one rollup covers every sweep task.
         """
         telemetry = result.telemetry
         if telemetry is None:
@@ -535,17 +550,14 @@ class Session:
 
     def _simulate(self, canonical: Point) -> SimulationResult:
         model = get_machine(canonical.machine)
-        program = self._program_for(canonical.program, canonical.expansion)
         compiled = self.compiled(
             canonical.program,
             canonical.machine,
             canonical.partition,
             canonical.expansion,
         )
-        window = (
-            canonical.window
-            if canonical.window is not None
-            else max(len(program), 1)
+        window = self.resolve_window(
+            canonical.program, canonical.window, canonical.expansion
         )
         memory = canonical.memory.build(canonical.memory_differential)
         started = time.perf_counter()
@@ -560,16 +572,10 @@ class Session:
                 compiled, canonical, window, memory, self.latencies
             )
         self.stats["simulate_seconds"] += time.perf_counter() - started
-        extras = memory.stats()
-        if extras:
-            # Stateful models report their hit/conflict counters
-            # (bypass_hit_rate, cache_hit_rate, bank_conflict_rate,
-            # prefetch_hit_rate, ...) into the result metadata.
-            result = replace(result, meta={**result.meta, **extras})
-        return result
+        return _with_memory_stats(result, memory)
 
     def evaluate_batch(
-        self, group: list[Point]
+        self, group: Sequence[Point]
     ) -> list[tuple[Point, SimulationResult]]:
         """Simulate a batch-key group of canonical points in one call.
 
@@ -590,13 +596,10 @@ class Session:
         compiled = self.compiled(
             first.program, first.machine, first.partition, first.expansion
         )
-        program = self._program_for(first.program, first.expansion)
         lanes = []
         for point in group:
-            window = (
-                point.window
-                if point.window is not None
-                else max(len(program), 1)
+            window = self.resolve_window(
+                point.program, point.window, point.expansion
             )
             lanes.append(BatchLane(
                 unit_configs=hook(point, window, self.latencies),
@@ -611,13 +614,10 @@ class Session:
         ):
             results = simulate_batch(compiled, lanes, self.latencies)
         self.stats["simulate_seconds"] += time.perf_counter() - started
-        out = []
-        for point, lane, result in zip(group, lanes, results):
-            extras = lane.memory.stats()
-            if extras:
-                result = replace(result, meta={**result.meta, **extras})
-            out.append((point, result))
-        return out
+        return [
+            (point, _with_memory_stats(result, lane.memory))
+            for point, lane, result in zip(group, lanes, results)
+        ]
 
     # -- sweeps ------------------------------------------------------------------
 
@@ -642,10 +642,10 @@ class Session:
         started = time.perf_counter()
         before = self.telemetry()
         with self._span("sweep", sweep=name, points=len(points)):
-            if self.batch:
-                self._prefetch_batch(points, effective_jobs)
-            elif effective_jobs > 1:
-                self._prefetch_parallel(points, effective_jobs)
+            # Batch off at jobs=1 plans nothing worth a prefetch: the
+            # evaluation loop alone runs and counts each point once.
+            if self.batch or effective_jobs > 1:
+                self._prefetch(points, effective_jobs)
             results = tuple(self.evaluate(point) for point in points)
         elapsed = time.perf_counter() - started
         self.stats["sweep_seconds"] += elapsed
@@ -660,9 +660,7 @@ class Session:
             },
         )
 
-    def _pending_points(
-        self, points: tuple[Point, ...]
-    ) -> list[Point]:
+    def _pending_points(self, points: tuple[Point, ...]) -> list[Point]:
         """Canonical uncached points, deduplicated, in sweep order.
 
         Consults the caches through :meth:`_lookup`, so hits are
@@ -680,26 +678,24 @@ class Session:
                 pending.append(canonical)
         return pending
 
-    def _prefetch_batch(self, points: tuple[Point, ...], jobs: int) -> None:
-        """The batch planner: group, batch, and fan out a sweep.
+    def _plan(self, pending: list[Point]) -> list[_Task]:
+        """The tasks that evaluate a sweep's pending points, in run order.
 
-        Pending points are grouped by
-        :func:`~repro.api.spec.point_batch_key`; groups of two or more
-        whose lanes would actually vectorize become single batch jobs
-        (the unit of pool parallelism), everything else stays on the
-        per-point path — pooled when ``jobs > 1``, or left to the
-        serial evaluation loop. NumPy is imported only once a batch job
-        exists (without it every point stays per-point). Results are
-        recorded per point, so store keys and payloads are identical to
-        a per-point run.
+        With ``batch`` on, pending points that share
+        :func:`~repro.api.spec.point_batch_key` and would vectorize are
+        grouped; each group of two or more becomes one batch task (a
+        tuple of points, counted in the batch stats). Every other point
+        is a one-point task: the ungrouped points in sweep order, then
+        the members of groups too small to batch. NumPy is imported
+        only once a batch task exists; without it every point is a
+        one-point task.
         """
+        if not self.batch:
+            return list(pending)
         from ..machines.batch import load_numpy, vector_eligible
 
-        pending = self._pending_points(points)
-        if not pending:
-            return
         groups: dict[tuple, list[Point]] = {}
-        scalar: list[Point] = []
+        singles: list[_Task] = []
         for canonical in pending:
             key = point_batch_key(canonical)
             model = get_machine(canonical.machine)
@@ -711,81 +707,40 @@ class Session:
                     canonical.window,
                 )
             ):
-                scalar.append(canonical)
+                singles.append(canonical)
             else:
                 groups.setdefault(key, []).append(canonical)
-        batched: list[list[Point]] = []
-        for group in groups.values():
-            if len(group) >= 2:
-                batched.append(group)
-            else:
-                scalar.extend(group)
+        batched = [tuple(group) for group in groups.values() if len(group) >= 2]
+        singles += [group[0] for group in groups.values() if len(group) == 1]
         if batched and not load_numpy():
-            scalar.extend(point for group in batched for point in group)
+            singles += [point for group in batched for point in group]
             batched = []
         for group in batched:
             self.stats["batch_groups"] += 1
             self.stats["batch_points"] += len(group)
-        if jobs > 1:
-            self._fan_out(batched, scalar, jobs)
-        else:
-            for group in batched:
-                for canonical, result in self.evaluate_batch(group):
-                    self._store(canonical, result)
-                    self.stats["evaluated"] += 1
-            for canonical in scalar:
-                # Already known uncached: simulate directly, so the
-                # miss counted during the pending scan stays the only
-                # one (the evaluate loop then hits memory).
-                self._store(canonical, self._simulate(canonical))
-                self.stats["evaluated"] += 1
+        return [*batched, *singles]
 
-    def _prefetch_parallel(self, points: tuple[Point, ...], jobs: int) -> None:
-        self._fan_out([], self._pending_points(points), jobs)
+    def _prefetch(self, points: tuple[Point, ...], jobs: int) -> None:
+        """Run every planned task of a sweep once, folding in each result.
 
-    def _poolable(self, canonical: Point, has_fork: bool) -> bool:
-        if canonical.program in self._custom:
-            return False  # custom programs only exist in this process
-        if not has_fork and canonical.machine not in _BUILTIN_MACHINES:
-            # Without fork, a worker can't see machines registered at
-            # runtime; evaluate those points locally instead.
-            return False
-        return True
-
-    def _fan_out(
-        self,
-        batched: list[list[Point]],
-        scalar: list[Point],
-        jobs: int,
-    ) -> None:
-        """Spread batch groups and scalar points over a process pool.
-
-        Batch groups are the unit of pool parallelism: one group, one
-        worker, one batched simulation. Scalar points stream through
-        ``pool.map`` as before. Groups or points that cannot ship to a
-        worker (custom programs; runtime-registered machines without
-        fork) are evaluated locally after the pool drains.
+        With ``jobs > 1``, the tasks a worker can run go through one
+        ``pool.map``. The rest (custom programs; runtime-registered
+        machines without fork) run here after the pool drains, in plan
+        order — batch groups, then points — as every task does at
+        ``jobs == 1``. Each result is folded in as it arrives, so an
+        interrupted sweep leaves every finished point in the store.
         """
-        context = _fork_context()
-        has_fork = context is not None
-        local_groups = [
-            group for group in batched
-            if not self._poolable(group[0], has_fork)
-        ]
-        pool_groups = [
-            group for group in batched
-            if self._poolable(group[0], has_fork)
-        ]
-        pool_scalar = [
-            canonical for canonical in scalar
-            if self._poolable(canonical, has_fork)
-        ]
-        local_scalar = [
-            canonical for canonical in scalar
-            if not self._poolable(canonical, has_fork)
-        ]
-        tasks = len(pool_groups) + len(pool_scalar)
-        if tasks:
+        local = self._plan(self._pending_points(points))
+        pooled = []
+        if jobs > 1:
+            context = _fork_context()
+            pooled = [
+                task for task in local if self._poolable(task, context)
+            ]
+            local = [
+                task for task in local if not self._poolable(task, context)
+            ]
+        if pooled:
             config = {
                 "scale": self.scale,
                 "au_width": self.au_width,
@@ -801,8 +756,7 @@ class Session:
                 "cache_dir": self.cache_dir,
                 "trace": False,
             }
-            workers = min(jobs, tasks)
-            chunksize = max(1, len(pool_scalar) // (workers * 4))
+            workers = min(jobs, len(pooled))
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=context,
@@ -810,18 +764,13 @@ class Session:
                 initargs=(config,),
             )
             try:
-                futures = [
-                    pool.submit(_worker_evaluate_batch, tuple(group))
-                    for group in pool_groups
-                ]
-                if pool_scalar:
-                    for canonical, result in pool.map(
-                        _worker_evaluate, pool_scalar, chunksize=chunksize
-                    ):
-                        self._fold_worker_result(canonical, result)
-                for future in as_completed(futures):
-                    for canonical, result in future.result():
-                        self._fold_worker_result(canonical, result)
+                for pairs in pool.map(
+                    _worker_evaluate,
+                    pooled,
+                    chunksize=max(1, len(pooled) // (workers * 4)),
+                ):
+                    for canonical, result in pairs:
+                        self._fold(canonical, result)
             except BaseException:
                 # Ctrl-C (or any abort) must not hang waiting for queued
                 # work: cancel what hasn't started and return
@@ -831,25 +780,30 @@ class Session:
                 raise
             else:
                 pool.shutdown()
-        for group in local_groups:
-            for canonical, result in self.evaluate_batch(group):
-                self._store(canonical, result)
-                self.stats["evaluated"] += 1
-        for canonical in local_scalar:
-            self._store(canonical, self._simulate(canonical))
-            self.stats["evaluated"] += 1
+        for task in local:
+            for canonical, result in self._evaluate_task(task):
+                self._fold(canonical, result)
 
-    def _fold_worker_result(
-        self, canonical: Point, result: SimulationResult
-    ) -> None:
-        """Fold one pool-worker result into this process's caches.
+    def _poolable(self, task: _Task, context) -> bool:
+        canonical = task if isinstance(task, Point) else task[0]
+        if canonical.program in self._custom:
+            return False  # custom programs only exist in this process
+        if context is None and canonical.machine not in _BUILTIN_MACHINES:
+            # Without fork, a worker can't see machines registered at
+            # runtime; evaluate those points locally instead.
+            return False
+        return True
 
-        The per-run telemetry rides home on the result, and ``_store``
-        folds it into the session rollup exactly as a ``jobs=1`` run
-        would.
+    def _evaluate_task(
+        self, task: _Task
+    ) -> list[tuple[Point, SimulationResult]]:
+        """Simulate one planned task: a batch group or one point.
+
+        Pure compute: the caller folds the results into the caches.
         """
-        self._store(canonical, result)
-        self.stats["evaluated"] += 1
+        if isinstance(task, Point):
+            return [(task, self._simulate(task))]
+        return self.evaluate_batch(task)
 
     # -- convenience accessors ---------------------------------------------------
 
@@ -966,6 +920,16 @@ def _json_copy(record):
     return json.loads(json.dumps(record))
 
 
+def _with_memory_stats(result: SimulationResult, memory) -> SimulationResult:
+    """``result`` with a stateful memory model's hit/conflict counters
+    (bypass_hit_rate, cache_hit_rate, bank_conflict_rate,
+    prefetch_hit_rate, ...) merged into its metadata."""
+    extras = memory.stats()
+    if not extras:
+        return result
+    return replace(result, meta={**result.meta, **extras})
+
+
 def _stamp_tier(result: SimulationResult, tier: str) -> SimulationResult:
     """Mark which cache tier served this copy of a result.
 
@@ -1010,14 +974,7 @@ def _worker_init(config: dict) -> None:
     _WORKER_SESSION.store(None)  # the parent does every result write
 
 
-def _worker_evaluate(point: Point) -> tuple[Point, SimulationResult]:
+def _worker_evaluate(task: _Task) -> list[tuple[Point, SimulationResult]]:
+    """One planned task, one worker: a batch group or one point."""
     assert _WORKER_SESSION is not None
-    return point, _WORKER_SESSION.evaluate(point)
-
-
-def _worker_evaluate_batch(
-    group: tuple[Point, ...]
-) -> list[tuple[Point, SimulationResult]]:
-    """One batch group, one worker, one batched simulation."""
-    assert _WORKER_SESSION is not None
-    return _WORKER_SESSION.evaluate_batch(list(group))
+    return _WORKER_SESSION._evaluate_task(task)

@@ -42,7 +42,7 @@ from repro import (  # noqa: E402
 from repro.api import MemorySpec, Point, Session, Sweep  # noqa: E402
 from repro.experiments.scales import PRESETS  # noqa: E402
 from repro.kernels import build_kernel  # noqa: E402
-from repro.machines import simulate  # noqa: E402
+from repro.machines import registry, simulate, swsm  # noqa: E402
 from repro.machines.batch import (  # noqa: E402
     BatchLane,
     simulate_batch,
@@ -394,6 +394,32 @@ class TestLoweringCache:
         want = second.run(sweep_for())
         assert want.results == got.results
         assert second.stats["evaluated"] == len(list(sweep_for().points()))
+
+    def test_source_edit_misses_every_entry(self, tmp_path, monkeypatch):
+        first, got, cache = run_session(tmp_path, "lc", batch=True)
+        cold = len(list((cache / "lowered").glob("*.pkl")))
+        drop_results(first)
+        # Another package source digest (an edit to any compiler
+        # module) must miss every entry the old sources wrote.
+        monkeypatch.setattr(
+            "repro.api.session.source_digest", lambda: "edited"
+        )
+        compiled = []
+        for module, name in ((registry, "partition_with_strategy"),
+                             (swsm, "lower_swsm")):
+            def counting(*args, _real=getattr(module, name), **kwargs):
+                compiled.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        edited = Session(scale=TINY, cache_dir=cache, batch=True)
+        for machine in ("dm", "swsm"):
+            source = edited.program("trfd")
+            assert edited._lowering_load(source, machine, "slice") is None
+        want = edited.run(sweep_for())
+        assert want.results == got.results
+        assert len(compiled) == cold == 2
+        assert len(list((cache / "lowered").glob("*.pkl"))) == 2 * cold
 
     def test_old_layout_entry_recompiles(self, tmp_path):
         first, got, cache = run_session(tmp_path, "lc", batch=True)

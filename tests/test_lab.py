@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from repro.api import Session
+from repro.ir.transforms import expand_code
 from repro.kernels import build_synthetic_stream
 
 
@@ -45,6 +46,21 @@ class TestWindows:
     def test_unlimited_window_is_program_sized(self, tiny_lab):
         resolved = tiny_lab.resolve_window("trfd", None)
         assert resolved == len(tiny_lab.program("trfd"))
+
+    def test_unlimited_window_covers_the_expanded_program(self, tiny_lab):
+        expanded = expand_code(tiny_lab.program("trfd"), 0.25)
+        resolved = tiny_lab.resolve_window("trfd", None, 0.25)
+        assert resolved == len(expanded) > len(tiny_lab.program("trfd"))
+
+    def test_expanded_unlimited_point_runs_at_the_resolved_window(
+        self, tiny_lab
+    ):
+        unlimited = tiny_lab.dm_point("trfd", None, 60, expansion=0.25)
+        resolved = tiny_lab.dm_point(
+            "trfd", tiny_lab.resolve_window("trfd", None, 0.25), 60,
+            expansion=0.25,
+        )
+        assert tiny_lab.cycles(unlimited) == tiny_lab.cycles(resolved)
 
     def test_unlimited_run_equivalent_to_huge_window(self, tiny_lab):
         unlimited = tiny_lab.dm_cycles("trfd", None, 60)

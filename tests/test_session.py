@@ -212,7 +212,7 @@ class TestParallelExecutor:
             session_module, "_worker_init", logged("worker", worker_init)
         )
         # Fixed-latency points go to workers as batch groups, the
-        # stateful cache points one by one through Session.evaluate.
+        # stateful cache points as one-point tasks.
         sweep = Sweep.grid(
             program="trfd", machine=("dm", "swsm"), window=(8, 16),
             memory_differential=60,
