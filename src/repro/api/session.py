@@ -15,13 +15,13 @@ page records of :meth:`Session.static_record`, and adds two things:
   with :meth:`Session.store` takes the place of ``results.sqlite``;
 * **one sweep executor** (``jobs``, ``batch``): :meth:`Session.run`
   plans a sweep's uncached points into tasks — batch groups of points
-  that share a compiled program, then one-point tasks — and runs every
-  task once, through one local loop or, with ``jobs > 1``, one
-  ``concurrent.futures`` pool map (tasks a worker cannot run stay in
-  the local loop). Every result is folded into the caches the same way
-  wherever it ran, and because every simulation is deterministic and
-  cycle-exact the results are identical to a serial run — only the
-  wall clock changes.
+  that share a compiled program, then one-point tasks in sweep order —
+  and runs every task once, through one local loop or, with
+  ``jobs > 1``, one ``concurrent.futures`` pool map (tasks a worker
+  cannot run stay in the local loop). Every result is folded into the
+  caches the same way wherever it ran, and because every simulation is
+  deterministic and cycle-exact the results are identical to a serial
+  run — only the wall clock changes.
 
 Machines are resolved through :mod:`repro.machines.registry`, so a
 machine registered with :func:`repro.machines.register_machine`
@@ -36,11 +36,12 @@ import multiprocessing
 import os
 import pickle
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..config import LatencyModel, require_scale
 from ..ir import Program
@@ -147,6 +148,11 @@ class Session:
         # Static page records by (kind, name); per store, like _store_keys.
         self._records: dict[tuple[str, str], object] = {}
         self._results: dict[Point, SimulationResult] = {}
+        # Inside _release_scope: (kernels not yet settled, kernels to
+        # forget once settled, the settle callback).
+        self._scope: tuple[set[str], frozenset[str], Callable] | None = None
+        # The lowering tag whose first write pruned the other tags.
+        self._pruned_tag: str | None = None
         # _UNSET until first use, which opens the cache_dir store.
         self._result_store = _UNSET
         # Stats a lookup counts: disk_* (cache_dir) or store_hits.
@@ -235,8 +241,54 @@ class Session:
         would otherwise be silently wrong.
         """
         self._custom[program.name] = program
-        self._programs.pop((program.name, 0.0), None)
-        self._profiles.pop(program.name, None)
+        self._forget(program.name, results=True)
+
+    def _forget(self, name: str, results: bool = False) -> None:
+        """Drop what this session holds of program ``name``: its traces
+        (every expansion) and compiled programs, and with ``results``
+        its profile and simulation results too."""
+        for memo in (self._programs, self._compiled):
+            for key in [key for key in memo if key[0] == name]:
+                del memo[key]
+        if results:
+            self._profiles.pop(name, None)
+            for point in [p for p in self._results if p.program == name]:
+                del self._results[point]
+
+    @contextmanager
+    def _release_scope(
+        self, names: Iterable[str], settle: Callable[[str], None]
+    ) -> Iterator[None]:
+        """Hold at most one of ``names``' programs at a time.
+
+        Inside, once a sweep has folded a named kernel's last point,
+        :meth:`run` calls ``settle(name)`` while the kernel is still
+        held and then forgets its traces and compiled programs
+        (:meth:`_forget`); profiles, static records and results stay.
+        Kernels this session held before the scope opened are settled
+        but kept. Pool workers forget a named kernel when their next
+        task names another one.
+        """
+        names = set(names)
+        held = {name for name, _ in self._programs}
+        self._scope = (set(names), frozenset(names - held), settle)
+        try:
+            yield
+        finally:
+            unsettled, release, _ = self._scope
+            self._scope = None
+            for name in unsettled & release:
+                self._forget(name)
+
+    def _settle(self, name: str) -> None:
+        """Hand a scoped kernel to the scope's callback, then release it."""
+        if self._scope is None or name not in self._scope[0]:
+            return
+        unsettled, release, settle = self._scope
+        unsettled.discard(name)
+        settle(name)
+        if name in release:
+            self._forget(name)
 
     def _program_for(self, name: str, expansion: float) -> Program:
         key = (name, expansion)
@@ -347,8 +399,10 @@ class Session:
         custom registered programs are safely cacheable, and by the
         Python version and :func:`~repro.api.spec.source_digest`, so an
         edit to any compiler source misses instead of serving what the
-        old code compiled. ``serial`` skips the cache — its
-        "compilation" is the identity.
+        old code compiled. The file name starts with a short tag of
+        those two (:func:`_lowering_tag`), which is how the first write
+        under a new tag finds the stale entries to delete. ``serial``
+        skips the cache — its "compilation" is the identity.
         """
         if self.cache_dir is None or machine == "serial":
             return None
@@ -362,7 +416,8 @@ class Session:
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        return Path(self.cache_dir) / "lowered" / f"{digest}.pkl"
+        name = f"{_lowering_tag()}-{digest}.pkl"
+        return Path(self.cache_dir) / "lowered" / name
 
     def _lowering_load(self, source: Program, machine: str, partition: str):
         path = self._lowering_path(source, machine, partition)
@@ -391,6 +446,12 @@ class Session:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
+            tag = _lowering_tag()
+            if tag != self._pruned_tag:
+                # Like the store's profiles rows: the first write under
+                # a tag deletes the entries no current build asks for.
+                _prune_lowerings(path.parent, tag)
+                self._pruned_tag = tag
             with tmp.open("wb") as handle:
                 pickle.dump(
                     compiled, handle, protocol=pickle.HIGHEST_PROTOCOL
@@ -646,7 +707,7 @@ class Session:
             # evaluation loop alone runs and counts each point once.
             if self.batch or effective_jobs > 1:
                 self._prefetch(points, effective_jobs)
-            results = tuple(self.evaluate(point) for point in points)
+            results = tuple(self._evaluate_all(points))
         elapsed = time.perf_counter() - started
         self.stats["sweep_seconds"] += elapsed
         return SweepResult(
@@ -659,6 +720,19 @@ class Session:
                 **telemetry_delta(before, self.telemetry()),
             },
         )
+
+    def _evaluate_all(
+        self, points: tuple[Point, ...]
+    ) -> Iterator[SimulationResult]:
+        """Evaluate ``points`` in order, settling each scoped kernel
+        after its last point (see :meth:`_release_scope`)."""
+        last = {}
+        if self._scope is not None:
+            last = {point.program: index for index, point in enumerate(points)}
+        for index, point in enumerate(points):
+            yield self.evaluate(point)
+            if last.get(point.program) == index:
+                self._settle(point.program)
 
     def _pending_points(self, points: tuple[Point, ...]) -> list[Point]:
         """Canonical uncached points, deduplicated, in sweep order.
@@ -685,40 +759,38 @@ class Session:
         :func:`~repro.api.spec.point_batch_key` and would vectorize are
         grouped; each group of two or more becomes one batch task (a
         tuple of points, counted in the batch stats). Every other point
-        is a one-point task: the ungrouped points in sweep order, then
-        the members of groups too small to batch. NumPy is imported
-        only once a batch task exists; without it every point is a
-        one-point task.
+        is a one-point task, in sweep order, so a sweep ordered by
+        program keeps each program's one-point tasks together. NumPy is
+        imported only once a batch task exists; without it every point
+        is a one-point task.
         """
         if not self.batch:
             return list(pending)
         from ..machines.batch import load_numpy, vector_eligible
 
         groups: dict[tuple, list[Point]] = {}
-        singles: list[_Task] = []
         for canonical in pending:
             key = point_batch_key(canonical)
             model = get_machine(canonical.machine)
             if (
-                key is None
-                or getattr(model, "batch_configs", None) is None
-                or not vector_eligible(
+                key is not None
+                and getattr(model, "batch_configs", None) is not None
+                and vector_eligible(
                     canonical.memory.build(canonical.memory_differential),
                     canonical.window,
                 )
             ):
-                singles.append(canonical)
-            else:
                 groups.setdefault(key, []).append(canonical)
         batched = [tuple(group) for group in groups.values() if len(group) >= 2]
-        singles += [group[0] for group in groups.values() if len(group) == 1]
         if batched and not load_numpy():
-            singles += [point for group in batched for point in group]
             batched = []
         for group in batched:
             self.stats["batch_groups"] += 1
             self.stats["batch_points"] += len(group)
-        return [*batched, *singles]
+        grouped = {point for group in batched for point in group}
+        return [
+            *batched, *(point for point in pending if point not in grouped)
+        ]
 
     def _prefetch(self, points: tuple[Point, ...], jobs: int) -> None:
         """Run every planned task of a sweep once, folding in each result.
@@ -728,9 +800,21 @@ class Session:
         machines without fork) run here after the pool drains, in plan
         order — batch groups, then points — as every task does at
         ``jobs == 1``. Each result is folded in as it arrives, so an
-        interrupted sweep leaves every finished point in the store.
+        interrupted sweep leaves every finished point in the store, and
+        a scoped kernel is settled once its last task has been folded.
         """
         local = self._plan(self._pending_points(points))
+        # Tasks left per program; folding the last one settles it.
+        left = Counter(_task_program(task) for task in local)
+
+        def fold(task: _Task, pairs) -> None:
+            for canonical, result in pairs:
+                self._fold(canonical, result)
+            program = _task_program(task)
+            left[program] -= 1
+            if not left[program]:
+                self._settle(program)
+
         pooled = []
         if jobs > 1:
             context = _fork_context()
@@ -755,6 +839,11 @@ class Session:
                 # parent's trace file would interleave span streams.
                 "cache_dir": self.cache_dir,
                 "trace": False,
+                # The kernels a worker drops when its next task names
+                # another one.
+                "release": (
+                    frozenset() if self._scope is None else self._scope[1]
+                ),
             }
             workers = min(jobs, len(pooled))
             pool = ProcessPoolExecutor(
@@ -764,13 +853,12 @@ class Session:
                 initargs=(config,),
             )
             try:
-                for pairs in pool.map(
+                for task, pairs in zip(pooled, pool.map(
                     _worker_evaluate,
                     pooled,
                     chunksize=max(1, len(pooled) // (workers * 4)),
-                ):
-                    for canonical, result in pairs:
-                        self._fold(canonical, result)
+                )):
+                    fold(task, pairs)
             except BaseException:
                 # Ctrl-C (or any abort) must not hang waiting for queued
                 # work: cancel what hasn't started and return
@@ -781,11 +869,10 @@ class Session:
             else:
                 pool.shutdown()
         for task in local:
-            for canonical, result in self._evaluate_task(task):
-                self._fold(canonical, result)
+            fold(task, self._evaluate_task(task))
 
     def _poolable(self, task: _Task, context) -> bool:
-        canonical = task if isinstance(task, Point) else task[0]
+        canonical = _task_point(task)
         if canonical.program in self._custom:
             return False  # custom programs only exist in this process
         if context is None and canonical.machine not in _BUILTIN_MACHINES:
@@ -908,6 +995,22 @@ def telemetry_delta(before: dict, after: dict) -> dict:
     return {**hits, "counters": counters, "strategies": strategies}
 
 
+def _lowering_tag() -> str:
+    """Short tag of the Python version and package sources: the prefix
+    of every lowering-cache file name those two wrote."""
+    source = f"{PYTHON_VERSION}:{source_digest()}"
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
+
+
+def _prune_lowerings(directory: Path, tag: str) -> None:
+    """Delete the lowering entries of every tag but ``tag`` (or none):
+    what another Python or source tree wrote."""
+    for path in directory.glob("*.pkl"):
+        if not path.name.startswith(f"{tag}-"):
+            with suppress(OSError):
+                path.unlink()
+
+
 def _open_store(target):
     """``target`` as a :class:`~repro.report.ResultStore`."""
     from ..report.store import ResultStore
@@ -965,16 +1068,36 @@ def _fork_context():
     return None
 
 
+def _task_point(task: _Task) -> Point:
+    """A task's point, or its first one for a batch group."""
+    return task if isinstance(task, Point) else task[0]
+
+
+def _task_program(task: _Task) -> str:
+    return _task_point(task).program
+
+
 _WORKER_SESSION: Session | None = None
+#: The kernels this worker forgets once its tasks move past them, and
+#: the kernel its last task named.
+_WORKER_RELEASE: frozenset[str] = frozenset()
+_WORKER_KERNEL: str | None = None
 
 
 def _worker_init(config: dict) -> None:
-    global _WORKER_SESSION
+    global _WORKER_SESSION, _WORKER_RELEASE
+    config = dict(config)
+    _WORKER_RELEASE = config.pop("release")
     _WORKER_SESSION = Session(**config)
     _WORKER_SESSION.store(None)  # the parent does every result write
 
 
 def _worker_evaluate(task: _Task) -> list[tuple[Point, SimulationResult]]:
     """One planned task, one worker: a batch group or one point."""
+    global _WORKER_KERNEL
     assert _WORKER_SESSION is not None
+    program = _task_program(task)
+    if _WORKER_KERNEL != program and _WORKER_KERNEL in _WORKER_RELEASE:
+        _WORKER_SESSION._forget(_WORKER_KERNEL)
+    _WORKER_KERNEL = program
     return _WORKER_SESSION._evaluate_task(task)

@@ -153,14 +153,17 @@ class GeneralizationResult:
 def _study_entries(
     session: Session,
     corpus: Corpus | tuple[str, ...] | list[str],
-) -> list[tuple[str, str, str]]:
-    """Normalise the input to (name, family, predicted band) triples."""
+) -> list[tuple[str, str, str | None]]:
+    """Normalise the input to (name, family, predicted band) triples.
+
+    The band is ``None`` where it is the session's own profile, which
+    the study reads while it holds the kernel.
+    """
     if isinstance(corpus, Corpus):
         same_scale = corpus.scale == session.scale
         return [
             (entry.name, entry.family,
-             _session_band(session, entry.name)
-             if same_scale and entry.pending else entry.predicted_band)
+             None if same_scale and entry.pending else entry.predicted_band)
             for entry in corpus.entries
         ]
     entries = []
@@ -203,9 +206,20 @@ def run_generalization_study(
     each kernel once (in the session) and a warm one builds none. A
     loaded manifest keeps its recorded bands, and a corpus generated
     at another scale resolves its entries.
+
+    The session holds at most one corpus kernel at a time: once a
+    kernel's last point is folded, its band is read and the session
+    forgets its trace and compiled programs (kernels it held before
+    the study stay).
     """
     entries = _study_entries(session, corpus)
     names = tuple(name for name, _, _ in entries)
+    bands = {name: band for name, _, band in entries if band is not None}
+
+    def settle(name: str) -> None:
+        if name not in bands:
+            bands[name] = _session_band(session, name)
+
     sweep = generalization_sweep(
         names,
         window,
@@ -214,17 +228,18 @@ def run_generalization_study(
         du_width=session.du_width,
         swsm_width=session.swsm_width,
     )
-    cycles = {
-        (p.program, p.machine, p.window, p.memory_differential): r.cycles
-        for p, r in session.run(sweep)
-    }
+    with session._release_scope(names, settle):
+        cycles = {
+            (p.program, p.machine, p.window, p.memory_differential): r.cycles
+            for p, r in session.run(sweep)
+        }
     rows = []
-    for name, family, predicted in entries:
+    for name, family, _ in entries:
         rows.append(
             GeneralizationRow(
                 name=name,
                 family=family,
-                predicted_band=predicted,
+                predicted_band=bands[name],
                 dm_lhe=lhe(
                     cycles[(name, "dm", None, 0)],
                     cycles[(name, "dm", None, memory_differential)],

@@ -18,6 +18,7 @@ from repro import DecoupledMachine, ResultStore, SuperscalarMachine
 from repro.api import MemorySpec, Point, Session, Sweep, speedup_sweep
 from repro.config import LatencyModel
 from repro.errors import ConfigError
+from repro.ir import Program
 from repro.kernels import build_kernel, build_synthetic_stream
 from repro.machines import (
     SimulationResult,
@@ -347,6 +348,26 @@ class TestSweepExecutor:
         }
         assert rows == self.ROWS
 
+    def test_one_point_tasks_keep_sweep_order(self):
+        """Members of groups too small to batch stay where the sweep
+        put them; only batch groups run first."""
+        cache = MemorySpec(kind="cache")
+        points = [
+            Point(program=program, machine="dm", window=window,
+                  memory_differential=60, memory=memory)
+            for program, window, memory in (
+                ("trfd", 8, MemorySpec()), ("trfd", 16, cache),
+                ("mdg", 8, MemorySpec()), ("mdg", 16, MemorySpec()),
+            )
+        ]
+        session = Session(scale=SCALE)
+        trfd_8, trfd_cache, mdg_8, mdg_16 = pending = (
+            session._pending_points(tuple(points))
+        )
+        assert session._plan(pending) == [
+            (mdg_8, mdg_16), trfd_8, trfd_cache
+        ]
+
 
 class TestSweepResult:
     def test_order_matches_sweep(self):
@@ -503,6 +524,27 @@ class TestNoSharedState:
         assert a.program("trfd") is custom
         assert b.program("trfd") is not custom
         assert len(b.program("trfd")) != len(custom)
+
+    def test_reregistered_program_serves_its_own_results(self):
+        """A name registered again drops what the old program left:
+        traces (expanded ones too), compiled programs and results."""
+        session = Session(scale=SCALE)
+        points = [
+            Point(program="mine", machine="dm", window=32,
+                  memory_differential=60, expansion=expansion)
+            for expansion in (0.0, 0.25)
+        ]
+        session.register_program(
+            Program("mine", build_kernel("trfd", SCALE).columns)
+        )
+        before = [session.cycles(point) for point in points]
+        mdg = Program("mine", build_kernel("mdg", SCALE).columns)
+        session.register_program(mdg)
+        fresh = Session(scale=SCALE)
+        fresh.register_program(mdg)
+        want = [fresh.cycles(point) for point in points]
+        assert [session.cycles(point) for point in points] == want
+        assert want != before
 
 
 class _RecordingEnviron(MutableMapping):

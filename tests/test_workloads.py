@@ -9,11 +9,15 @@ and the generalization study.
 
 from __future__ import annotations
 
+import os
+import tracemalloc
+
 import pytest
 
 from repro import KernelError, build_kernel, get_kernel, list_kernels
 from repro.api import Session
 from repro.errors import ConfigError
+from repro.experiments import PRESETS
 from repro.experiments.generalization import run_generalization_study
 from repro.kernels import PAPER_ORDER
 from repro.partition import analyze_decoupling, compute_address_slice
@@ -34,6 +38,7 @@ from repro.workloads import (
 )
 
 SCALE = 2_000
+TINY = PRESETS["tiny"].scale
 
 
 class TestNames:
@@ -395,3 +400,60 @@ class TestGeneralizationStudy:
         # Predicted band comes from the registry spec (= Table 1).
         for row in result.rows:
             assert row.predicted_band == get_kernel(row.name).resolved_band
+
+
+class TestStudyMemory:
+    """The study holds at most one corpus kernel's trace and compiled
+    programs at a time, on every executor path."""
+
+    @staticmethod
+    def held(session: Session) -> set[str]:
+        """Programs with a trace or a compiled program in the session."""
+        return {key[0] for key in [*session._programs, *session._compiled]}
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        corpus = generate_corpus(6, seed=0, scale=TINY)
+        return run_generalization_study(Session(scale=TINY), corpus)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_cold_study_releases_every_kernel(self, reference, batch, jobs):
+        corpus = generate_corpus(6, seed=0, scale=TINY)
+        session = Session(scale=TINY, batch=batch, jobs=jobs)
+        result = run_generalization_study(session, corpus)
+        assert result == reference
+        assert not self.held(session) & set(corpus.names)
+        assert session.stats["kernels_built"] == 6
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self):
+        def peak(size: int) -> int:
+            corpus = generate_corpus(size, seed=0, scale=TINY)
+            session = Session(scale=TINY)
+            tracemalloc.start()
+            try:
+                run_generalization_study(session, corpus)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.3 * peak(2)
+
+    def test_no_pool_worker_holds_two_kernels(self, tmp_path, monkeypatch):
+        log = tmp_path / "held.log"
+        evaluate = Session._evaluate_task
+
+        def checked(session, task):
+            pairs = evaluate(session, task)
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()} {len(self.held(session))}\n")
+            return pairs
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(Session, "_evaluate_task", checked)
+        corpus = generate_corpus(6, seed=0, scale=TINY)
+        run_generalization_study(Session(scale=TINY, jobs=2), corpus)
+        entries = [line.split() for line in log.read_text().splitlines()]
+        assert len(entries) == 6 * len(corpus.names)
+        assert str(os.getpid()) not in {pid for pid, _ in entries}
+        assert max(int(held) for _, held in entries) == 1
