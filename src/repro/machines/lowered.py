@@ -9,8 +9,8 @@ differential of a sweep.
 
 Everything is built by one :class:`ColumnBuilder`. The compilers
 (:func:`~repro.partition.partition_dm`,
-:func:`~repro.partition.lower_swsm`) append one row per machine
-instruction to it straight from the trace's integer columns, so a
+:func:`~repro.partition.lower_swsm`) append each machine instruction to
+its per-column lists straight from the trace's integer columns, so a
 compiled :class:`~repro.partition.machine_program.MachineProgram` *is*
 its lowered form (:meth:`MachineProgram.lowered`) and no
 per-instruction objects exist on the compile path.
@@ -47,8 +47,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, pairwise, repeat
-from operator import sub
+from itertools import accumulate, compress, pairwise
 
 from ..errors import SimulationError
 from ..partition.machine_program import (
@@ -309,58 +308,66 @@ class LoweredProgram:
         # locality bounds the accelerator relies on.
         if total < 512 or self.min_dep_offset < 1:
             return None
-        # Intern the per-gid structural signature: everything the
-        # engine reads about an instruction except its address (with a
-        # uniform memory model the address never affects timing).
-        # The offsets enter as raw bytes slices of the CSR array, which
-        # are equal exactly when the offset tuples are.
-        intern: dict[tuple, int] = {}
-        sig = [0] * total
-        unit_index = self._unit
-        flat = self._src_flat.tobytes()
-        size = self._src_flat.itemsize
-        keys = zip(
-            unit_index,
-            self._mode,
-            self._lat,
-            (flat[size * lo: size * hi]
-             for lo, hi in pairwise(self._src_start)),
-        )
-        for gid, key in enumerate(keys):
-            code = intern.get(key)
-            if code is None:
-                code = len(intern)
-                intern[key] = code
-            sig[gid] = code
-        buf = array("i", sig).tobytes()
+        # A gid's structural signature is everything the engine reads
+        # about it except its address (with a uniform memory model the
+        # address never affects timing): unit, mode, latency and source
+        # offsets. Runs of gids are compared column slice by column
+        # slice; equal source counts make the CSR offset ranges line
+        # up, so equal ranges mean equal per-gid offset tuples.
+        unit, mode, lat = self._unit, self._mode, self._lat
+        n_srcs, flat, offsets = self._n_srcs, self._src_flat, self._src_start
+
+        def same(a: int, b: int, n: int) -> bool:
+            """Whether gids ``a..a+n`` and ``b..b+n`` match one by one."""
+            return (
+                mode[a: a + n] == mode[b: b + n]
+                and unit[a: a + n] == unit[b: b + n]
+                and lat[a: a + n] == lat[b: b + n]
+                and n_srcs[a: a + n] == n_srcs[b: b + n]
+                and flat[offsets[a]: offsets[a + n]]
+                == flat[offsets[b]: offsets[b + n]]
+            )
+
         start = total // 4
         for probe_len in (64, 256, 1024):
             if start + 2 * probe_len >= total:
                 break
-            probe = buf[4 * start: 4 * (start + probe_len)]
-            pos = buf.find(probe, 4 * start + 4)
-            while pos != -1 and pos % 4:
-                pos = buf.find(probe, pos + (4 - pos % 4))
+            # The first later run matching the probe: every match has
+            # the probe's modes, so candidates come from ``_mode``.
+            probe = mode[start: start + probe_len]
+            pos = mode.find(probe, start + 1)
+            while pos != -1 and not same(start, pos, probe_len):
+                pos = mode.find(probe, pos + 1)
             if pos == -1:
                 continue
-            period = pos // 4 - start
-            if sig[start: total - period] != sig[start + period: total]:
+            period = pos - start
+            if not same(start, pos, total - pos):
                 continue  # local echo, not a global period; widen probe
             # Extend the verified region backward past the prologue so
-            # the engine can start skipping as early as possible.
-            while start > 0 and sig[start - 1] == sig[start - 1 + period]:
-                start -= 1
+            # the engine can start skipping as early as possible: step
+            # back in blocks that double while they match and halve
+            # when one does not, down to the first mismatching gid.
+            step = 1
+            while start:
+                n = min(step, start)
+                if same(start - n, start - n + period, n):
+                    start -= n
+                    step *= 2
+                elif n == 1:
+                    break
+                else:
+                    step = n // 2
             repeats = max(1, -(-_MIN_STRIDE // period))
             stride = period * repeats
             if total - start < 3 * stride + self.dep_span + 64:
                 return None
-            counts = [0] * len(self.units)
-            for gid in range(start, start + stride):
-                counts[unit_index[gid]] += 1
             return SteadyState(
                 start=start,
                 period=stride,
-                unit_counts=tuple(counts),
+                unit_counts=tuple(
+                    unit.count(ui, start, start + stride)
+                    for ui in range(len(self.units))
+                ),
                 dep_span=self.dep_span,
             )
         return None
@@ -374,28 +381,37 @@ _STATE_SLOTS = tuple(
 
 
 class ColumnBuilder:
-    """Builds a :class:`LoweredProgram` one machine instruction at a time.
+    """Builds a :class:`LoweredProgram` one column entry at a time.
 
     The compilers (:func:`repro.partition.partition_dm`,
     :func:`repro.partition.lower_swsm`) and :func:`lower_program` append
-    one row per gid, in gid order, to ``rows``::
+    each machine instruction, in gid order, to six per-gid columns:
 
-        (unit index, kind code, latency, src gids, address, orig index)
+    * ``unit``: index into ``units`` (``bytearray``);
+    * ``kind``: the instruction's
+      :data:`~repro.partition.machine_program.KIND_CODE` (``bytearray``);
+    * ``lat``: latency; ``srcs``: source gid tuple; ``addr``: address,
+      ``0`` for none; ``orig``: architectural instruction index (lists).
 
-    where the unit index points into ``units``, the kind code is the
-    instruction's :data:`~repro.partition.machine_program.KIND_CODE`
-    and the address is ``0`` for none. :meth:`finish` derives every
-    other column from those six: tuples for the columns the engine
-    indexes per gid, and ``bytes``, ``array('i')`` and CSR for the cold
-    ones, so the rows are the only per-gid containers and they die
-    with the builder.
+    A run of gids the compiler always emits together (a value and its
+    copy, a load issue and its receive, a store's two halves) is one
+    ``+=`` per column. :meth:`finish` derives every other column from
+    these six: tuples for the columns the engine indexes per gid, and
+    ``bytes``, ``array('i')`` and CSR for the cold ones, so the source
+    tuples are the only per-gid containers and they die with the
+    builder.
     """
 
-    __slots__ = ("units", "rows")
+    __slots__ = ("units", "unit", "kind", "lat", "srcs", "addr", "orig")
 
     def __init__(self, units) -> None:
         self.units = tuple(units)
-        self.rows: list[tuple] = []
+        self.unit = bytearray()
+        self.kind = bytearray()
+        self.lat: list[int] = []
+        self.srcs: list[tuple[int, ...]] = []
+        self.addr: list[int] = []
+        self.orig: list[int] = []
 
     def program(
         self, name: str, tags: list[str], meta: dict[str, object]
@@ -414,40 +430,56 @@ class ColumnBuilder:
         """The lowered program and its per-gid kind codes.
 
         ``stream_gids`` (per-unit dispatch order) defaults to gid order.
+        Consumer lists (``cons``) are in stream order: unit by unit,
+        each unit's consumers in its dispatch order. Without
+        ``stream_gids`` they are built in gid order, which is the same
+        order when all consumers of each gid sit on one unit, as they do
+        in compiler output: a copy feeds the other unit only, a load
+        issue only its receive, and a store's halves only AU loads.
         """
-        total = len(self.rows)
-        unit_index, kind, lat, srcs, addr, orig = (
-            zip(*self.rows) if total else (() for _ in range(6))
-        )
-        kinds = bytes(kind)
-        units = bytes(unit_index)
+        srcs, lat = self.srcs, self.lat
+        total = len(lat)
+        kinds = bytes(self.kind)
+        units = bytes(self.unit)
         gids = range(total)
         low = LoweredProgram()
         low.total = total
         low.units = self.units
         low._unit = units
+        # One walk over the edges in gid order: consumer lists, and the
+        # offsets ``gid - src`` flattened without a per-gid container.
+        consumers = [()] * total
+        offsets = []
+        offset = offsets.append
+        for gid, deps in enumerate(srcs):
+            for dep in deps:
+                consumers[dep] += (gid,)
+                offset(gid - dep)
         if stream_gids is None:
-            stream_gids = [
-                compress(gids, units.translate(_selector(ui)))
+            low.stream_gids = tuple(
+                tuple(compress(gids, units.translate(_selector(ui))))
                 for ui in range(len(self.units))
-            ]
-        low.stream_gids = tuple(map(tuple, stream_gids))
+            )
+            low.cons = tuple(consumers)
+        else:
+            low.stream_gids = tuple(map(tuple, stream_gids))
+            in_streams: list[list[int]] = [[] for _ in gids]
+            for stream in low.stream_gids:
+                for gid in stream:
+                    for dep in srcs[gid]:
+                        in_streams[dep].append(gid)
+            low.cons = tuple(map(tuple, in_streams))
         n_srcs = array("i", map(len, srcs))
         low._n_srcs = n_srcs
         low._src_start = array("i", accumulate(n_srcs, initial=0))
-        # Offsets ``gid - src``, flattened without a per-gid container.
-        flat = low._src_flat = array("i", map(
-            sub,
-            chain.from_iterable(map(repeat, gids, n_srcs)),
-            chain.from_iterable(srcs),
-        ))
+        flat = low._src_flat = array("i", offsets)
         floor = total or 1
         low.min_dep_offset = min(floor, min(flat, default=floor))
         low.dep_span = max(0, max(flat, default=0))
         low._mode = kinds.translate(_KIND_MODE_TABLE)
         low._lat = array("i", lat)
-        low.addr = addr
-        low._orig = array("i", orig)
+        low.addr = tuple(self.addr)
+        low._orig = array("i", self.orig)
         base_addlat = list(lat)
         for gid in compress(gids, kinds.translate(_ESTABLISH_TABLE)):
             base_addlat[gid] = 1
@@ -459,13 +491,6 @@ class ColumnBuilder:
         low.min_latency = min(
             1, min(compress(lat, kinds.translate(_LATENCY_TABLE)), default=1)
         )
-        # Consumer lists in stream order, unit by unit.
-        consumers: list[list[int]] = [[] for _ in gids]
-        for stream in low.stream_gids:
-            for gid in stream:
-                for dep in srcs[gid]:
-                    consumers[dep].append(gid)
-        low.cons = tuple(map(tuple, consumers))
         pair = low._pair = array("i", [-1]) * total
         unpaired = set()
         for gid in compress(gids, kinds.translate(_CONSUMES_TABLE)):
@@ -488,9 +513,10 @@ def lower_program(program: MachineProgram) -> LoweredProgram:
 
     The compilers write the columns directly; this feeds a program built
     from :class:`~repro.partition.machine_program.MachineInstruction`
-    streams through the same :class:`ColumnBuilder`. Prefer
-    :meth:`MachineProgram.lowered`, which caches the result on the
-    program; this function always builds a fresh instance.
+    streams through the same :class:`ColumnBuilder`, with its streams'
+    dispatch order. Prefer :meth:`MachineProgram.lowered`, which caches
+    the result on the program; this function always builds a fresh
+    instance.
     """
     total = program.num_instructions
     units = program.units
@@ -511,15 +537,11 @@ def lower_program(program: MachineProgram) -> LoweredProgram:
             gids.append(gid)
         stream_gids.append(gids)
     builder = ColumnBuilder(units)
-    builder.rows = [
-        (
-            ui,
-            KIND_CODE[inst.mem_kind],
-            inst.latency,
-            inst.srcs,
-            inst.addr if inst.addr is not None else 0,
-            inst.orig_index,
-        )
-        for ui, inst in rows
-    ]
+    for ui, inst in rows:
+        builder.unit.append(ui)
+        builder.kind.append(KIND_CODE[inst.mem_kind])
+        builder.lat.append(inst.latency)
+        builder.srcs.append(inst.srcs)
+        builder.addr.append(inst.addr if inst.addr is not None else 0)
+        builder.orig.append(inst.orig_index)
     return builder.finish(stream_gids)[0]

@@ -46,6 +46,16 @@ _RECEIVE = KIND_CODE[MemKind.RECEIVE]
 _STORE_ADDR = KIND_CODE[MemKind.STORE_ADDR]
 _STORE_DATA = KIND_CODE[MemKind.STORE_DATA]
 
+#: Unit and kind entries of the two-gid runs one instruction lowers to,
+#: each appended with one ``+=``. Units, indexed by unit: two gids on
+#: it (``_TWICE``), or one on the AU and one on it (``_AU_THEN``).
+_TWICE = (bytes((_AU, _AU)), bytes((_DU, _DU)))
+_AU_THEN = (_TWICE[_AU], bytes((_AU, _DU)))
+_VALUE_COPY = bytes((_NONE, _COPY))
+_SELF_LOAD_COPY = bytes((_SELF_LOAD, _COPY))
+_ISSUE_RECEIVE = bytes((_LOAD_ISSUE, _RECEIVE))
+_STORE_HALVES = bytes((_STORE_ADDR, _STORE_DATA))
+
 
 class AddressSlice:
     """The AU-resident part of a program.
@@ -196,9 +206,12 @@ def partition_dm(
 ) -> MachineProgram:
     """Lower an architectural program to a two-stream DM machine program.
 
-    Writes the engine's columns directly: one
-    :class:`~repro.machines.lowered.ColumnBuilder` row per machine
-    instruction, no per-instruction objects.
+    Writes the engine's columns directly: each machine instruction is
+    appended to the per-column lists of a
+    :class:`~repro.machines.lowered.ColumnBuilder`, and the instructions
+    one architectural instruction always lowers to together (a value and
+    its copy, a load issue and its receive, a store's two halves) are
+    one ``+=`` per column. No per-instruction objects are made.
 
     Args:
         program: the architectural trace.
@@ -220,11 +233,13 @@ def partition_dm(
     needs = _needs(program, home)
 
     builder = ColumnBuilder(_UNITS)
-    rows = builder.rows
-    emit = rows.append
+    unit_col, kind_col = builder.unit, builder.kind
+    lat_col, srcs_col = builder.lat, builder.srcs
+    addr_col, orig_col = builder.addr, builder.orig
     # Per unit: arch value index -> gid of the machine instruction whose
     # result carries that value on that unit (-1: not there).
     val_at = ([-1] * size, [-1] * size)
+    au_at, du_at = val_at
     # arch store index -> gids a dependent load must wait for.
     store_gids: dict[int, tuple[int, int]] = {}
     # Copies by producing unit: [AU -> DU, DU -> AU].
@@ -242,20 +257,6 @@ def partition_dm(
             "partitioner failed to insert a copy"
         )
 
-    def value_on(src: int, unit: int) -> int:
-        gid = val_at[unit][src]
-        if gid < 0:
-            raise missing(src, unit)
-        return gid
-
-    def maybe_copy(index: int, unit: int, produced: int) -> None:
-        """Emit a copy to the other unit if that unit reads this value."""
-        other = 1 - unit
-        if needs[index] >> other & 1:
-            val_at[other][index] = len(rows)
-            emit((unit, _COPY, copy_latency, (produced,), 0, index))
-            copies[unit] += 1
-
     for index in range(size):
         op_code = op[index]
         if op_code <= OP_FP:
@@ -265,49 +266,100 @@ def partition_dm(
             deps = tuple(map(at.__getitem__, srcs))
             if -1 in deps:
                 raise missing(srcs[deps.index(-1)], unit)
-            produced = at[index] = len(rows)
-            emit((unit, _NONE, op_latency[lat_class[index]], deps, 0, index))
-            maybe_copy(index, unit, produced)
+            gid = at[index] = len(lat_col)
+            latency = op_latency[lat_class[index]]
+            if needs[index] >> (1 - unit) & 1:
+                # The other unit reads this value: copy it across.
+                val_at[1 - unit][index] = gid + 1
+                unit_col += _TWICE[unit]
+                kind_col += _VALUE_COPY
+                lat_col += (latency, copy_latency)
+                srcs_col += (deps, (gid,))
+                addr_col += (0, 0)
+                orig_col += (index, index)
+                copies[unit] += 1
+            else:
+                unit_col.append(unit)
+                kind_col.append(_NONE)
+                lat_col.append(latency)
+                srcs_col.append(deps)
+                addr_col.append(0)
+                orig_col.append(index)
             continue
+        srcs = all_srcs[index]
+        if op_code == OP_STORE and len(srcs) > 1:
+            raise PartitionError(
+                f"store {index} has {len(srcs)} data operands; "
+                "at most one is supported"
+            )
         address = addrs[index]
         if address == -1:
             address = 0
         addr_src = addr_srcs[index]
+        if addr_src < 0:
+            deps = ()
+        else:
+            deps = (au_at[addr_src],)
+            if deps[0] < 0:
+                raise missing(addr_src, _AU)
+        gid = len(lat_col)
         if op_code == OP_LOAD:
-            deps = () if addr_src < 0 else (value_on(addr_src, _AU),)
             if mem_deps[index] >= 0:
-                deps = deps + store_gids[mem_deps[index]]
+                deps += store_gids[mem_deps[index]]
             if self_mask[index]:
                 self_loads += 1
-                produced = val_at[_AU][index] = len(rows)
-                emit((_AU, _SELF_LOAD, mem_base, deps, address, index))
-                maybe_copy(index, _AU, produced)
+                au_at[index] = gid
+                if needs[index] >> _DU & 1:
+                    du_at[index] = gid + 1
+                    unit_col += _TWICE[_AU]
+                    kind_col += _SELF_LOAD_COPY
+                    lat_col += (mem_base, copy_latency)
+                    srcs_col += (deps, (gid,))
+                    addr_col += (address, 0)
+                    orig_col += (index, index)
+                    copies[_AU] += 1
+                else:
+                    unit_col.append(_AU)
+                    kind_col.append(_SELF_LOAD)
+                    lat_col.append(mem_base)
+                    srcs_col.append(deps)
+                    addr_col.append(address)
+                    orig_col.append(index)
             else:
-                issue = len(rows)
-                emit((_AU, _LOAD_ISSUE, mem_base, deps, address, index))
-                val_at[_DU][index] = issue + 1
-                emit((_DU, _RECEIVE, receive, (issue,), address, index))
+                du_at[index] = gid + 1
+                unit_col += _AU_THEN[_DU]
+                kind_col += _ISSUE_RECEIVE
+                lat_col += (mem_base, receive)
+                srcs_col += (deps, (gid,))
+                addr_col += (address, address)
+                orig_col += (index, index)
                 # Custom (non-slice) partitions may consume a received
                 # value on the AU; the default slice never does.
-                maybe_copy(index, _DU, issue + 1)
+                if needs[index] >> _AU & 1:
+                    au_at[index] = gid + 2
+                    unit_col.append(_DU)
+                    kind_col.append(_COPY)
+                    lat_col.append(copy_latency)
+                    srcs_col.append((gid + 1,))
+                    addr_col.append(0)
+                    orig_col.append(index)
+                    copies[_DU] += 1
         else:  # STORE
-            srcs = all_srcs[index]
-            if len(srcs) > 1:
-                raise PartitionError(
-                    f"store {index} has {len(srcs)} data operands; "
-                    "at most one is supported"
-                )
-            deps = () if addr_src < 0 else (value_on(addr_src, _AU),)
-            addr_gid = len(rows)
-            emit((_AU, _STORE_ADDR, store, deps, address, index))
             if srcs:
                 # _needs already rejected stores as data producers.
                 data_unit = home[srcs[0]]
-                data = (value_on(srcs[0], data_unit),)
+                data = (val_at[data_unit][srcs[0]],)
+                if data[0] < 0:
+                    raise missing(srcs[0], data_unit)
             else:
                 data_unit, data = _DU, ()
-            emit((data_unit, _STORE_DATA, store, data, address, index))
-            store_gids[index] = (addr_gid, addr_gid + 1)
+            unit_col += _AU_THEN[data_unit]
+            kind_col += _STORE_HALVES
+            lat_col += (store, store)
+            srcs_col += (deps, data)
+            addr_col += (address, address)
+            orig_col += (index, index)
+            store_gids[index] = (gid, gid + 1)
 
     meta = {
         "machine": "DM",

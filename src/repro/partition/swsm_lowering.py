@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..config import DEFAULT_LATENCIES, LatencyModel
 from ..errors import PartitionError
 from ..ir import Program
-from ..ir.types import OP_FP, OP_LOAD, class_latencies
+from ..ir.types import OP_FP, OP_LOAD, OP_STORE, class_latencies
 from .machine_program import KIND_CODE, MachineProgram, MemKind, Unit
 
 __all__ = ["lower_swsm"]
@@ -26,6 +26,10 @@ _ACCESS_LOAD = KIND_CODE[MemKind.ACCESS_LOAD]
 _PREFETCH_STORE = KIND_CODE[MemKind.PREFETCH_STORE]
 _ACCESS_STORE = KIND_CODE[MemKind.ACCESS_STORE]
 
+#: A memory operation's two gids, prefetch then access, as kind codes.
+_LOAD_PAIR = bytes((_PREFETCH_LOAD, _ACCESS_LOAD))
+_STORE_PAIR = bytes((_PREFETCH_STORE, _ACCESS_STORE))
+
 
 def lower_swsm(
     program: Program,
@@ -33,9 +37,10 @@ def lower_swsm(
 ) -> MachineProgram:
     """Lower an architectural program to a one-stream SWSM machine program.
 
-    Writes the engine's columns directly, one
-    :class:`~repro.machines.lowered.ColumnBuilder` row per machine
-    instruction.
+    Writes the engine's columns directly: each machine instruction is
+    appended to the per-column lists of a
+    :class:`~repro.machines.lowered.ColumnBuilder`, and a memory
+    operation's prefetch and access are one ``+=`` per column.
     """
     from ..machines.lowered import ColumnBuilder
 
@@ -44,8 +49,8 @@ def lower_swsm(
     addr_srcs, addrs, mem_deps = cols.addr_src, cols.addr, cols.mem_dep
     size = len(op)
     builder = ColumnBuilder((Unit.SINGLE,))
-    rows = builder.rows
-    emit = rows.append
+    kind_col, lat_col, srcs_col = builder.kind, builder.lat, builder.srcs
+    addr_col, orig_col = builder.addr, builder.orig
     # arch value index -> gid carrying it (-1: never produced).
     val_at = [-1] * size
     store_gids: dict[int, tuple[int, ...]] = {}
@@ -54,47 +59,61 @@ def lower_swsm(
         latencies.mem_base, latencies.access, latencies.store
     )
 
-    def values(srcs: tuple[int, ...]) -> tuple[int, ...]:
-        deps = tuple(map(val_at.__getitem__, srcs))
-        if -1 in deps:
-            raise PartitionError(
-                f"value %{srcs[deps.index(-1)]} was never produced"
-            )
-        return deps
+    def never_produced(src: int) -> PartitionError:
+        return PartitionError(f"value %{src} was never produced")
 
     for index in range(size):
         op_code = op[index]
+        srcs = all_srcs[index]
         if op_code <= OP_FP:
-            deps = values(all_srcs[index])
-            val_at[index] = len(rows)
-            emit((0, _NONE, op_latency[lat_class[index]], deps, 0, index))
+            deps = tuple(map(val_at.__getitem__, srcs))
+            if -1 in deps:
+                raise never_produced(srcs[deps.index(-1)])
+            val_at[index] = len(lat_col)
+            kind_col.append(_NONE)
+            lat_col.append(op_latency[lat_class[index]])
+            srcs_col.append(deps)
+            addr_col.append(0)
+            orig_col.append(index)
             continue
+        if op_code == OP_STORE and len(srcs) > 1:
+            raise PartitionError(
+                f"store {index} has {len(srcs)} data operands; "
+                "at most one is supported"
+            )
         address = addrs[index]
         if address == -1:
             address = 0
         addr_src = addr_srcs[index]
+        if addr_src < 0:
+            deps = ()
+        else:
+            deps = (val_at[addr_src],)
+            if deps[0] < 0:
+                raise never_produced(addr_src)
+        prefetch = len(lat_col)
         if op_code == OP_LOAD:
-            deps = () if addr_src < 0 else values((addr_src,))
             if mem_deps[index] >= 0:
-                deps = deps + store_gids[mem_deps[index]]
-            prefetch = len(rows)
-            emit((0, _PREFETCH_LOAD, mem_base, deps, address, index))
+                deps += store_gids[mem_deps[index]]
             val_at[index] = prefetch + 1
-            emit((0, _ACCESS_LOAD, access, (prefetch,), address, index))
+            kind_col += _LOAD_PAIR
+            lat_col += (mem_base, access)
+            srcs_col += (deps, (prefetch,))
         else:  # STORE
-            srcs = all_srcs[index]
-            if len(srcs) > 1:
-                raise PartitionError(
-                    f"store {index} has {len(srcs)} data operands; "
-                    "at most one is supported"
-                )
-            deps = () if addr_src < 0 else values((addr_src,))
-            prefetch = len(rows)
-            emit((0, _PREFETCH_STORE, mem_base, deps, address, index))
-            data = (prefetch,) + values(srcs)
-            emit((0, _ACCESS_STORE, store, data, address, index))
+            data = (prefetch,)
+            if srcs:
+                data += (val_at[srcs[0]],)
+                if data[1] < 0:
+                    raise never_produced(srcs[0])
+            kind_col += _STORE_PAIR
+            lat_col += (mem_base, store)
+            srcs_col += (deps, data)
             store_gids[index] = (prefetch + 1,)
+        addr_col += (address, address)
+        orig_col += (index, index)
 
+    # One unit: every gid is on unit 0.
+    builder.unit += bytes(len(lat_col))
     meta = {"machine": "SWSM", "source": program.name}
     machine_program = builder.program(program.name, cols.tags, meta)
     machine_program.validate()

@@ -4,9 +4,9 @@
 as ``bytes``, ``array('i')`` and CSR source offsets, and rebuilds the
 public ``src_off``, ``mode``, ``lat``, ``orig_index``, ``pair``,
 ``unit_index`` and ``n_srcs`` tuples on access. Each view must equal a
-per-row derivation from the :class:`ColumnBuilder` rows it was built
-from, survive a pickle round-trip, and the compact form must keep a
-compiled program's retained memory down.
+per-gid derivation from the :class:`ColumnBuilder` columns it was
+built from, survive a pickle round-trip, and the compact form must
+keep a compiled program's retained memory down.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ VIEWS = (
 
 
 def derived_views(rows) -> dict[str, tuple]:
-    """Every view, derived row by row from ``ColumnBuilder.rows``."""
+    """Every view, derived row by row from the builder's columns."""
     out: dict[str, list] = {name: [] for name in VIEWS}
     for gid, (ui, kind_code, lat, srcs, _addr, orig) in enumerate(rows):
         kind = MEM_KINDS[kind_code]
@@ -57,12 +57,20 @@ def derived_views(rows) -> dict[str, tuple]:
 
 
 def finished_with_rows(monkeypatch, build):
-    """``build()``'s lowered program and the rows its builder finished."""
+    """``build()``'s lowered program and the rows its builder finished.
+
+    A row is one gid's entries across the builder's six column lists,
+    ``(unit, kind, lat, srcs, addr, orig)``.
+    """
     seen: list[list[tuple]] = []
     finish = ColumnBuilder.finish
 
     def recording(self, *args, **kwargs):
-        seen.append(list(self.rows))
+        columns = (
+            self.unit, self.kind, self.lat, self.srcs, self.addr, self.orig
+        )
+        assert len({len(column) for column in columns}) == 1
+        seen.append(list(zip(*columns)))
         return finish(self, *args, **kwargs)
 
     monkeypatch.setattr(ColumnBuilder, "finish", recording)

@@ -14,7 +14,8 @@ from repro import (
     lower_swsm,
     partition_dm,
 )
-from repro.partition import MemKind
+from repro.ir import Value
+from repro.partition import AddressSlice, MemKind
 from repro.partition.strategies import partition_with_strategy
 
 
@@ -128,6 +129,33 @@ class TestPartitionDm:
         with pytest.raises(PartitionError, match="data operands"):
             partition_dm(builder.build())
 
+    def test_store_as_store_data_rejected(self):
+        builder, stored = store_reader()
+        a = builder.array("b", 1)
+        builder.store(a, 0, stored)
+        with pytest.raises(
+            PartitionError, match=rf"instruction {stored.index} \(a store\) "
+            "produces no value"
+        ):
+            partition_dm(builder.build())
+
+    @pytest.mark.parametrize("unit", ["DU", "AU"])
+    def test_value_never_on_reading_unit_rejected(self, unit):
+        # An integer op reads a store, which leaves no value on either
+        # unit. The default slice puts the reader on the DU; a custom
+        # slice moves it to the AU.
+        builder, stored = store_reader()
+        reader = builder.iadd(stored)
+        address_slice = (
+            AddressSlice(au_int={reader.index}) if unit == "AU" else None
+        )
+        with pytest.raises(
+            PartitionError,
+            match=rf"value %{stored.index} is not available on {unit}; "
+            "the partitioner failed to insert a copy",
+        ):
+            partition_dm(builder.build(), address_slice=address_slice)
+
 
 class TestLowerSwsm:
     def test_memory_ops_double(self, daxpy):
@@ -167,6 +195,23 @@ class TestLowerSwsm:
     def test_validates(self, daxpy, pointer_chase, feedback, rmw_chain):
         for program in (daxpy, pointer_chase, feedback, rmw_chain):
             lower_swsm(program).validate()
+
+    def test_value_never_produced_rejected(self):
+        builder, stored = store_reader()
+        builder.iadd(stored)
+        with pytest.raises(
+            PartitionError, match=rf"value %{stored.index} was never produced"
+        ):
+            lower_swsm(builder.build())
+
+
+def store_reader():
+    """A builder whose last instruction is a store, and that store."""
+    builder = KernelBuilder("t")
+    a = builder.array("a", 1)
+    value = builder.fadd()
+    builder.store(a, 0, value)
+    return builder, Value(len(builder) - 1)
 
 
 def stats_loads(program):
